@@ -181,7 +181,160 @@ TEST_P(SessionTest, RequireTableHelper) {
   EXPECT_TRUE(worlds.RequireTable().ok()) << "single world counts as table";
 }
 
+// ---------------------------------------------------------------------------
+// World-fold paths: an assert or group-worlds-by query that reads the
+// statement's own answer (`__result`, or the `create table` target),
+// repair/choice feeding `group worlds by`, and assert + quantifier over a
+// merged sub-product. Each case runs at threads {1, 4}.
+// ---------------------------------------------------------------------------
+
+// I is a 4-world repair (K=1 picks V 1|2, K=2 picks V 3|4); S is certain.
+constexpr char kFoldFixture[] = R"sql(
+  create table R (K integer, V integer);
+  insert into R values (1,1),(1,2),(2,3),(2,4);
+  create table I as select * from R repair by key K;
+  create table S (A integer, B integer);
+  insert into S values (1, 10), (1, 20), (2, 30);
+)sql";
+
+struct ExpectedGroup {
+  double probability;
+  std::vector<std::string> key;
+  std::vector<std::string> rows;
+};
+
+class SessionFoldTest : public EngineTest {
+ protected:
+  /// Runs `body` against a fresh fixture session at threads 1 and 4.
+  template <typename Body>
+  void AtThreads(Body body) {
+    for (size_t threads : {1u, 4u}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      SessionOptions options = Options();
+      options.threads = threads;
+      Session session(options);
+      ExecScript(session, kFoldFixture);
+      body(session);
+    }
+  }
+
+  static void ExpectTable(Session& session, const std::string& sql,
+                          const std::vector<std::string>& rows) {
+    SCOPED_TRACE(sql);
+    QueryResult r = Exec(session, sql);
+    ASSERT_EQ(r.kind(), QueryResult::Kind::kTable);
+    ExpectRows(r.table(), rows);
+  }
+
+  static void ExpectGroups(Session& session, const std::string& sql,
+                           const std::vector<ExpectedGroup>& groups) {
+    SCOPED_TRACE(sql);
+    QueryResult r = Exec(session, sql);
+    ASSERT_EQ(r.kind(), QueryResult::Kind::kGroups);
+    ASSERT_EQ(r.groups().size(), groups.size());
+    for (size_t i = 0; i < groups.size(); ++i) {
+      EXPECT_DOUBLE_EQ(r.groups()[i].probability, groups[i].probability);
+      ExpectRows(r.groups()[i].key, groups[i].key);
+      ExpectRows(r.groups()[i].table, groups[i].rows);
+    }
+  }
+};
+
+TEST_P(SessionFoldTest, AssertReadsInternalResult) {
+  AtThreads([](Session& session) {
+    ExpectTable(session,
+                "select possible K, V from R repair by key K "
+                "assert exists (select * from __result where V = 2);",
+                {"(1, 2)", "(2, 3)", "(2, 4)"});
+    ExpectTable(session,
+                "select conf, K, V from I "
+                "assert exists (select * from __result where V = 2);",
+                {"(1, 2, 1)", "(2, 3, 0.5)", "(2, 4, 0.5)"});
+  });
+}
+
+TEST_P(SessionFoldTest, GroupWorldsByReadsInternalResult) {
+  AtThreads([](Session& session) {
+    ExpectGroups(session,
+                 "select possible K, V from I "
+                 "group worlds by (select V from __result where K = 1);",
+                 {{0.5, {"(1)"}, {"(1, 1)", "(2, 3)", "(2, 4)"}},
+                  {0.5, {"(2)"}, {"(1, 2)", "(2, 3)", "(2, 4)"}}});
+  });
+}
+
+TEST_P(SessionFoldTest, RepairAndChoiceFeedGroupWorldsBy) {
+  AtThreads([](Session& session) {
+    const std::vector<std::string> conf = {"(1, 10, 0.5)", "(1, 20, 0.5)",
+                                           "(2, 30, 1)"};
+    ExpectGroups(session,
+                 "select conf, A, B from S repair by key A "
+                 "group worlds by (select V from I where K = 1);",
+                 {{0.5, {"(1)"}, conf}, {0.5, {"(2)"}, conf}});
+    ExpectGroups(session,
+                 "select certain A, B from S repair by key A "
+                 "group worlds by (select B from __result where A = 1);",
+                 {{0.5, {"(10)"}, {"(1, 10)", "(2, 30)"}},
+                  {0.5, {"(20)"}, {"(1, 20)", "(2, 30)"}}});
+    ExpectGroups(session,
+                 "select possible A, B from S choice of A "
+                 "group worlds by (select A from __result);",
+                 {{0.5, {"(1)"}, {"(1, 10)", "(1, 20)"}},
+                  {0.5, {"(2)"}, {"(2, 30)"}}});
+  });
+}
+
+TEST_P(SessionFoldTest, AssertWithQuantifierOverMergedSubProduct) {
+  AtThreads([](Session& session) {
+    ExpectTable(session,
+                "select conf, sum(V) from I "
+                "assert exists (select * from I where K = 1 and V = 2);",
+                {"(5, 0.5)", "(6, 0.5)"});
+    ExpectTable(session,
+                "select conf, A, B from S repair by key A "
+                "assert exists (select * from I where K = 2 and V = 4);",
+                {"(1, 10, 0.5)", "(1, 20, 0.5)", "(2, 30, 1)"});
+  });
+}
+
+TEST_P(SessionFoldTest, CreateTableAsReadsItsOwnTarget) {
+  AtThreads([](Session& session) {
+    Exec(session,
+         "create table T as select K, V from I "
+         "assert exists (select * from T where V = 2);");
+    ExpectTable(session, "select conf, K, V from T;",
+                {"(1, 2, 1)", "(2, 3, 0.5)", "(2, 4, 0.5)"});
+    ExpectTable(session, "select conf, K, V from I;",
+                {"(1, 2, 1)", "(2, 3, 0.5)", "(2, 4, 0.5)"});
+  });
+  AtThreads([](Session& session) {
+    Exec(session,
+         "create table G as select possible K, V from I "
+         "group worlds by (select V from G where K = 1);");
+    ExpectTable(session, "select conf, K, V from G;",
+                {"(1, 1, 0.5)", "(1, 2, 0.5)", "(2, 3, 1)", "(2, 4, 1)"});
+    Exec(session,
+         "create table U as select certain A, B from S repair by key A "
+         "group worlds by (select B from U where A = 1);");
+    ExpectTable(session, "select conf, A, B from U;",
+                {"(1, 10, 0.5)", "(1, 20, 0.5)", "(2, 30, 1)"});
+  });
+  AtThreads([](Session& session) {
+    Exec(session,
+         "create table P as select possible A, B from S repair by key A "
+         "assert exists (select * from P where B = 20);");
+    ExpectTable(session, "select conf, A, B from P;",
+                {"(1, 20, 1)", "(2, 30, 1)"});
+    Exec(session,
+         "create table Q as select conf, A, B from S repair by key A "
+         "assert exists (select * from Q where B = 10);");
+    ExpectTable(session, "select possible * from Q;",
+                {"(1, 10, 1)", "(2, 30, 1)"});
+  });
+}
+
 MAYBMS_INSTANTIATE_ENGINES(SessionTest);
+MAYBMS_INSTANTIATE_ENGINES(SessionFoldTest);
 
 // Engine-cap behaviour is engine-specific.
 TEST(SessionCapsTest, ExplicitEngineRefusesHugeWorldSets) {
