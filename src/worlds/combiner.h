@@ -1,46 +1,46 @@
 #ifndef MAYBMS_WORLDS_COMBINER_H_
 #define MAYBMS_WORLDS_COMBINER_H_
 
-// Streaming world-combination for possible / certain / conf.
+// Streaming world-combination for possible / certain / conf, and the one
+// world fold both engines feed.
 //
-// The set-based combinators in world_set.h (CombinePossible/CombineCertain/
-// CombineConf) take the full vector of (probability, answer table) pairs —
-// which forces every per-world answer to stay materialized until the last
-// world has been evaluated, and costs O(W log W) comparisons plus one
-// Table allocation per world. The paper's world-set algebra only ever
-// needs tuple-level accumulation: a tuple's confidence is the sum of the
-// probabilities of the worlds whose answer contains it, a tuple is certain
-// iff every world's answer contains it, possible iff some world's does.
-//
-// QuantifierCombiner exploits that: it is fed one world at a time and
-// maintains a single hash map from answer tuple to accumulated state, so
-// each per-world answer can be discarded the moment it has been fed.
-// Total cost is O(total answer tuples) expected plus one O(D log D) sort
-// of the D distinct output tuples at the end.
+// The paper's world-set algebra only ever needs tuple-level accumulation:
+// a tuple's confidence is the sum of the probabilities of the worlds whose
+// answer contains it, a tuple is certain iff every world's answer contains
+// it, possible iff some world's does. QuantifierCombiner exploits that: it
+// is fed one world at a time and maintains a single hash map from answer
+// tuple to accumulated state, so each per-world answer can be discarded
+// the moment it has been fed. Total cost is O(total answer tuples)
+// expected plus one O(D log D) sort of the D distinct output tuples at the
+// end. (tests/set_combiners.h keeps the set-based reference the property
+// suite compares it against.)
 //
 // Tuple identity follows the rules documented in world_set.h: tuples hash
 // and compare under Value's total order (Tuple::Hash / Tuple::Compare),
 // where NULL is a plain value (two NULL answer fields are identical for
 // world-combination purposes) and numerics are type-tagged consistently
-// (Integer(1) and Real(1.0) coincide, exactly as in the set-based
-// combinators). Output order is deterministic: rows are emitted sorted by
-// the same total order the set-based combinators produce.
+// (Integer(1) and Real(1.0) coincide). Output order is deterministic:
+// rows are emitted sorted by the same total order.
 //
-// Oracle hook: setting MAYBMS_COMBINER_ORACLE=1 in the environment makes
-// every combiner retain its fed entries and delegate to the set-based
-// functions at Finish() — the retained implementations stay alive as a
-// differential oracle (tests/combiner_property_test.cc compares the two
-// on randomized inputs, and the hook lets the whole engine run on the
-// oracle path end to end).
+// WorldFold owns everything after the per-world SQL core of an I-SQL
+// SELECT — the assert filter, the group-worlds-by key, the combination —
+// so the engines differ only in how they enumerate worlds
+// (EnumerateWorlds in world_set.h, plus the decomposed engine's
+// per-component sources).
 
 #include <cstddef>
 #include <map>
+#include <memory>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "base/result.h"
+#include "engine/planner.h"
+#include "engine/prepared.h"
 #include "sql/ast.h"
+#include "storage/catalog.h"
 #include "storage/table.h"
 #include "types/tuple.h"
 #include "worlds/world_set.h"
@@ -61,8 +61,7 @@ namespace maybms::worlds {
 /// to one. possible/certain ignore the weights entirely.
 class QuantifierCombiner {
  public:
-  /// Rejects WorldQuantifier::kNone with the same error the set-based
-  /// dispatch produced.
+  /// Rejects WorldQuantifier::kNone.
   static Result<QuantifierCombiner> Create(sql::WorldQuantifier quantifier);
 
   QuantifierCombiner(QuantifierCombiner&&) = default;
@@ -85,18 +84,14 @@ class QuantifierCombiner {
   /// Consumes `other`.
   void Merge(QuantifierCombiner&& other);
 
-  /// Emits the combined relation, sorted by tuple total order (identical
-  /// to the set-based combinators' output). Consumes the combiner.
-  /// A conf combination with `normalizer` <= 0 (zero total surviving
-  /// mass) is an error, never NaN confidences.
+  /// Emits the combined relation, sorted by tuple total order. Consumes
+  /// the combiner. A conf combination with `normalizer` <= 0 (zero total
+  /// surviving mass) is an error, never NaN confidences.
   Result<Table> Finish(double normalizer = 1.0);
 
-  /// True when MAYBMS_COMBINER_ORACLE=1: combiners retain their input and
-  /// delegate to the set-based functions (differential/test mode).
-  static bool UsingSetBasedOracle();
-
  private:
-  explicit QuantifierCombiner(sql::WorldQuantifier quantifier);
+  explicit QuantifierCombiner(sql::WorldQuantifier quantifier)
+      : quantifier_(quantifier) {}
 
   struct Accum {
     double conf = 0;          // conf: accumulated probability mass
@@ -111,35 +106,22 @@ class QuantifierCombiner {
   bool saw_schema_ = false;    // any table fed (possible/certain schema)
   Schema first_schema_;        // schema of the very first fed table
   double nonempty_prob_ = 0;   // conf, 0-column answers: P(non-empty)
-
-  // Oracle mode: retained input, combined via world_set.h functions.
-  bool use_oracle_ = false;
-  std::vector<std::pair<double, Table>> retained_;
 };
 
 /// Streaming accumulator for `group worlds by`: one QuantifierCombiner
 /// per distinct (canonicalized) group key, fed unnormalized world
 /// probabilities; Finish() normalizes within each group and emits groups
-/// in the deterministic total order of their canonical key rows. Shared
-/// by both engines' streaming grouped tails (ExplicitWorldSet /
-/// DecomposedWorldSet::EvaluateGroupedStreaming) so normalization and
-/// emission order cannot drift between them.
+/// in the deterministic total order of their canonical key rows.
 class GroupedQuantifierCombiner {
  public:
-  /// kNone is rejected at the first Feed, with the same error the
-  /// per-group QuantifierCombiner::Create produces.
+  /// kNone is rejected at the first Feed, with the same error
+  /// QuantifierCombiner::Create produces.
   explicit GroupedQuantifierCombiner(sql::WorldQuantifier quantifier);
 
-  /// Folds one world: `group_key_answer` is the raw grouping-query
-  /// answer (canonicalized here via CanonicalizeGroupKey), `answer` the
-  /// world's statement answer. Both may be destroyed after the call.
-  /// `probability` may be unnormalized (e.g. pre-assert mass).
-  Status Feed(double probability, const Table& answer,
-              const Table& group_key_answer);
-
-  /// Worlds fed so far. Callers apply assert filtering *before* Feed, so
-  /// this doubles as the survivor count.
-  size_t worlds_fed() const { return worlds_fed_; }
+  /// Folds one world: `answer` is the world's statement answer, `key` its
+  /// canonical group key (CanonicalizeGroupKey of the grouping query's
+  /// answer). `probability` may be unnormalized (e.g. pre-assert mass).
+  Status Feed(double probability, const Table& answer, Table key);
 
   /// Absorbs `other` (same quantifier) as if its worlds had been fed
   /// right after this combiner's own, per group key — the grouped
@@ -159,10 +141,127 @@ class GroupedQuantifierCombiner {
     std::optional<QuantifierCombiner> combiner;
   };
 
+  /// The accumulator of canonical `key`, created on first use.
+  Result<GroupAccum*> Group(Table key);
+
   sql::WorldQuantifier quantifier_;
-  size_t worlds_fed_ = 0;
   double total_mass_ = 0;
   std::map<std::vector<Tuple>, GroupAccum> groups_;
+};
+
+/// One surviving world a WorldFold kept (see WorldFold::Keep).
+struct FoldedWorld {
+  size_t input = 0;          // the source's input world it derives from
+  double probability = 0;    // renormalized over the assert survivors
+  /// What the world stores under the result name: the statement's own
+  /// answer, or — under a quantifier — the combined answer, or the
+  /// world's group answer (one instance shared by the group).
+  std::shared_ptr<Table> answer;
+  /// With Keep::kWorlds: the input world's database plus `answer` under
+  /// the result name — the derived world itself.
+  Database db;
+};
+
+/// The fold of an I-SQL SELECT over its worlds: everything after the
+/// per-world SQL core. Each world arrives as (probability, database,
+/// answer); the fold
+///  * evaluates `assert` and drops the world unless it holds,
+///  * under `group worlds by`, runs the grouping query for the group key,
+///  * combines the answer under possible/certain/conf (per group),
+///  * and, when asked to, keeps each survivor for a materializing
+///    pipeline (`create table … as`, plain listings).
+///
+/// Worlds arrive in batches, one ParallelFor each: Begin(n) before, Feed
+/// from the loop body, End() after. State is per chunk and merged in chunk
+/// order, so answers are byte-identical at every thread count. Fed
+/// probabilities may be unnormalized: a quantifier divides by the
+/// surviving mass after an assert, a group by its own mass.
+///
+/// The assert and grouping queries see the world's database; when they
+/// name the statement's own answer (`__result`, or the `create table`
+/// target) the fold evaluates them over a copy of the database that holds
+/// the answer under that name — the only case that copies a database.
+class WorldFold {
+ public:
+  /// What the fold keeps of each surviving world for worlds(): nothing (a
+  /// quantified SELECT), its answer (listings, the decomposed engine's
+  /// derived components), or also its database (the explicit engine's
+  /// derived worlds, built as the worlds are fed).
+  enum class Keep { kNothing, kAnswers, kWorlds };
+
+  /// Checks the statement's world operations (ValidateWorldOps, a plain
+  /// grouping query, a quantifier for group worlds by). `stmt` must
+  /// outlive the fold. `threads` is the ParallelFor thread cap of the
+  /// feeding loops.
+  static Result<WorldFold> Create(const sql::SelectStatement& stmt,
+                                  std::string result_name, size_t threads,
+                                  Keep keep);
+
+  /// The fold of EvaluateSelect: keeps the answers of a plain SELECT's
+  /// worlds for its listing, nothing when FoldsWorlds(stmt).
+  static Result<WorldFold> ForSelect(const sql::SelectStatement& stmt,
+                                     size_t threads) {
+    return Create(stmt, "__result", threads,
+                  FoldsWorlds(stmt) ? Keep::kNothing : Keep::kAnswers);
+  }
+
+  WorldFold(WorldFold&&) = default;
+  WorldFold& operator=(WorldFold&&) = default;
+
+  /// Starts a batch of `n` worlds, fed at indices [0, n).
+  void Begin(size_t n);
+
+  /// Folds world `index` of the batch, derived from input world `input`,
+  /// from a ParallelFor body running as (`slot`, `chunk`).
+  Status Feed(size_t input, size_t index, size_t slot, size_t chunk,
+              double probability, const Database& db, Table answer);
+
+  /// Ends the batch: merges its chunk state in chunk order.
+  Status End();
+
+  /// The quantifier answer (`combined`) or the world groups; an error
+  /// when an assert eliminated every world. Consumes the accumulators.
+  Result<SelectEvaluation> Finish();
+
+  /// After Finish: the kept surviving worlds in feed order.
+  std::vector<FoldedWorld>& worlds() { return kept_; }
+
+  /// After Finish: moves the first `max_worlds` kept worlds' answers into
+  /// `eval->per_world` (a plain SELECT's listing) and flags truncation.
+  Status ListWorlds(size_t max_worlds, SelectEvaluation* eval);
+
+ private:
+  WorldFold(const sql::SelectStatement& stmt, std::string result_name)
+      : stmt_(&stmt), result_name_(std::move(result_name)) {}
+
+  struct Slot {
+    engine::SubqueryPlanCache assert_plans;
+    std::optional<engine::PreparedSelect> group_plan;
+  };
+  struct Chunk {
+    std::optional<QuantifierCombiner> combiner;
+    std::optional<GroupedQuantifierCombiner> grouped;
+    double mass = 0;
+    size_t survivors = 0;
+  };
+  struct Kept {
+    FoldedWorld world;
+    std::vector<Tuple> group_key;
+  };
+
+  const sql::SelectStatement* stmt_;
+  std::string result_name_;
+  bool reads_answer_ = false;  // assert/grouping query names result_name_
+  Keep keep_ = Keep::kNothing;
+  std::vector<Slot> slots_;
+  std::vector<Chunk> chunks_;
+  std::vector<std::optional<Kept>> batch_;
+  std::optional<QuantifierCombiner> combiner_;
+  std::optional<GroupedQuantifierCombiner> grouped_;
+  double mass_ = 0;
+  size_t survivors_ = 0;
+  std::vector<FoldedWorld> kept_;
+  std::vector<std::vector<Tuple>> kept_keys_;  // group keys, with grouping
 };
 
 }  // namespace maybms::worlds

@@ -18,7 +18,6 @@
 #include "engine/planner.h"
 #include "engine/prepared.h"
 #include "worlds/combiner.h"
-#include "worlds/explicit_world_set.h"
 #include "worlds/partition.h"
 
 namespace maybms::worlds {
@@ -82,20 +81,6 @@ bool ContainsSubquery(const sql::Expr& expr) {
           *static_cast<const sql::CastExpr&>(expr).operand);
   }
   return false;
-}
-
-/// One-shot combination of already-materialized per-world answers through
-/// the streaming combiner (weights must be normalized). Used where the
-/// pipeline genuinely needs every answer at hand anyway (assert tails,
-/// group-worlds-by members); the hot quantifier paths feed the combiner
-/// incrementally instead.
-Result<Table> CombineByQuantifier(
-    sql::WorldQuantifier quantifier,
-    const std::vector<std::pair<double, const Table*>>& entries) {
-  MAYBMS_ASSIGN_OR_RETURN(QuantifierCombiner combiner,
-                          QuantifierCombiner::Create(quantifier));
-  for (const auto& [prob, table] : entries) combiner.Feed(prob, *table);
-  return combiner.Finish();
 }
 
 /// Filters `rows` (over the projection's qualified source schema) by the
@@ -464,211 +449,65 @@ bool DecomposedWorldSet::QualifiesForFastPath(
 }
 
 Result<DecomposedWorldSet::PipelineOutput> DecomposedWorldSet::RunPipeline(
-    const sql::SelectStatement& stmt, const std::string& result_name) const {
-  MAYBMS_RETURN_NOT_OK(ValidateWorldOps(stmt));
-  if (stmt.group_worlds_by && engine::HasWorldOps(*stmt.group_worlds_by)) {
-    return Status::Unsupported(
-        "the GROUP WORLDS BY query must be a plain SQL query");
-  }
-
+    const sql::SelectStatement& stmt, WorldFold* fold) const {
   std::unique_ptr<sql::SelectStatement> core = StripWorldOps(stmt);
   std::set<std::string> referenced;
   CollectReferencedRelations(stmt, &referenced);
   std::vector<size_t> relevant = RelevantComponents(referenced);
-
-  const bool needs_merge_tail =
+  const bool fans_out = stmt.repair.has_value() || stmt.choice.has_value();
+  // assert and group worlds by correlate whole worlds: only the fold
+  // answers them.
+  const bool whole_worlds =
       stmt.assert_condition != nullptr || stmt.group_worlds_by != nullptr;
 
-  // Per-alternative loops below run on the shared pool; per-chunk
-  // accumulators merged in chunk order and per-slot prepared plans keep
-  // results and errors byte-identical at every thread count.
-  base::ThreadPool& pool = base::ThreadPool::Shared();
-  const size_t slots = pool.Slots(threads_);
-
   PipelineOutput out;
-
-  // When a quantifier collapses the answer and nothing downstream needs
-  // per-alternative results (no assert, no grouping), the merged paths
-  // stream each local world's answer into the combiner as it is produced
-  // and discard it immediately instead of materializing `merged.results`.
-  const bool stream_feed = stmt.quantifier != sql::WorldQuantifier::kNone &&
-                           !needs_merge_tail;
-  std::optional<QuantifierCombiner> stream_combiner;
-  bool streamed = false;
-  if (stream_feed) {
-    MAYBMS_ASSIGN_OR_RETURN(QuantifierCombiner c,
-                            QuantifierCombiner::Create(stmt.quantifier));
-    stream_combiner.emplace(std::move(c));
-  }
-
-  // ---- Step 1: compute the result representation. ----
-  if (stmt.repair.has_value() || stmt.choice.has_value()) {
-    // Plan the repair/choice source pipeline and the projection once: the
-    // certain core and every local world share one schema catalog.
+  if (!whole_worlds && fans_out && relevant.empty()) {
+    // Plan the repair/choice source pipeline and the projection once.
     MAYBMS_ASSIGN_OR_RETURN(engine::PreparedFromWhere source_plan,
                             engine::PreparedFromWhere::Prepare(stmt, certain_));
     MAYBMS_ASSIGN_OR_RETURN(
         engine::PreparedProjection projection,
         engine::PreparedProjection::Prepare(*core, certain_,
                                             source_plan.output_schema()));
-    if (relevant.empty()) {
-      // The clean product construction: repair creates one component per
-      // key group, choice a single component. This is the O(n·g)
-      // representation of g^n worlds.
-      MAYBMS_ASSIGN_OR_RETURN(Table source, source_plan.Execute(certain_));
-      std::vector<PartitionBlock> blocks;
-      if (stmt.repair.has_value()) {
-        MAYBMS_ASSIGN_OR_RETURN(blocks, RepairPartition(source, *stmt.repair));
-      } else {
-        MAYBMS_ASSIGN_OR_RETURN(blocks, ChoicePartition(source, *stmt.choice));
-      }
-      DecomposedResult result;
-      result.schema = projection.output_schema();
-      for (const PartitionBlock& block : blocks) {
-        // Each block becomes one component whose alternatives are this
-        // block's choices: charge them as the decomposition's unit of
-        // world fan-out (the explicit engine charges the full product;
-        // the decomposed representation IS the O(n·g) compression).
-        MAYBMS_RETURN_NOT_OK(
-            base::GovernChargeWorlds(block.choices.size()));
-        Component comp;
-        for (const WeightedChoice& choice : block.choices) {
-          std::vector<Tuple> chosen;
-          chosen.reserve(choice.row_indices.size());
-          for (size_t r : choice.row_indices) chosen.push_back(source.row(r));
-          MAYBMS_ASSIGN_OR_RETURN(Table projected,
-                                  projection.Execute(certain_, chosen));
-          MAYBMS_RETURN_NOT_OK(
-              base::GovernChargeBytes(base::EstimateTableBytes(
-                  projected.num_rows(), projected.schema().num_columns())));
-          Alternative alt;
-          alt.probability = choice.probability;
-          alt.tuples[kResultKey] = projected.rows();
-          comp.alternatives.push_back(std::move(alt));
-        }
-        result.new_components.push_back(std::move(comp));
-      }
-      out.decomposed = std::move(result);
+    // The clean product construction: repair creates one component per
+    // key group, choice a single component. This is the O(n·g)
+    // representation of g^n worlds.
+    MAYBMS_ASSIGN_OR_RETURN(Table source, source_plan.Execute(certain_));
+    std::vector<PartitionBlock> blocks;
+    if (stmt.repair.has_value()) {
+      MAYBMS_ASSIGN_OR_RETURN(blocks, RepairPartition(source, *stmt.repair));
     } else {
-      // Repair/choice over an uncertain source: flatten within each local
-      // world of the relevant sub-product. The outer loop over source
-      // alternatives stays sequential (alternative i's emissions precede
-      // alternative i+1's source evaluation, exactly as before); the
-      // combo enumeration inside one alternative runs on the pool, each
-      // combo decoded from its ordinal in the same little-endian block
-      // order the sequential odometer walked.
-      MAYBMS_ASSIGN_OR_RETURN(Component merged_src, MergeRelevant(relevant));
-      MergedResult merged;
-      merged.replaced = relevant;
-      std::vector<std::optional<engine::PreparedProjection>> projections(
-          slots);
-      projections[0].emplace(std::move(projection));
-      std::vector<std::optional<QuantifierCombiner>> chunk_combiners;
-      size_t flat_count = 0;
-      for (const Alternative& alt : merged_src.alternatives) {
-        MAYBMS_RETURN_NOT_OK(base::GovernPoll());
-        Database local = BuildLocalDatabase({&alt});
-        MAYBMS_ASSIGN_OR_RETURN(Table source, source_plan.Execute(local));
-        std::vector<PartitionBlock> blocks;
-        if (stmt.repair.has_value()) {
-          MAYBMS_ASSIGN_OR_RETURN(blocks,
-                                  RepairPartition(source, *stmt.repair));
-        } else {
-          MAYBMS_ASSIGN_OR_RETURN(blocks,
-                                  ChoicePartition(source, *stmt.choice));
-        }
-        // Combo count, checked against the merge cap before emission (the
-        // sequential walk checked after each emitted world — same error,
-        // surfaced earlier).
-        size_t combos = 1;
-        for (const PartitionBlock& block : blocks) {
-          const size_t choices = block.choices.size();
-          if (choices != 0 &&
-              combos > std::numeric_limits<size_t>::max() / choices) {
-            return Status::Unsupported(
-                "repair/choice over an uncertain source exceeds the merge "
-                "cap of " +
-                std::to_string(max_merge_) + " alternatives");
-          }
-          combos *= choices;
-          if (max_merge_ != 0 && flat_count + combos > max_merge_) {
-            return Status::Unsupported(
-                "repair/choice over an uncertain source exceeds the merge "
-                "cap of " +
-                std::to_string(max_merge_) + " alternatives");
-          }
-        }
-        const size_t base = merged.component.alternatives.size();
-        MAYBMS_RETURN_NOT_OK(base::GovernChargeWorlds(combos));
-        if (stream_feed) {
-          chunk_combiners.clear();
-          chunk_combiners.resize(base::ThreadPool::NumChunks(combos));
-        } else {
-          merged.component.alternatives.resize(base + combos);
-          merged.results.resize(base + combos);
-        }
-        MAYBMS_RETURN_NOT_OK(pool.ParallelFor(
-            combos, threads_,
-            [&](size_t c, size_t slot, size_t chunk) -> Status {
-              if (!projections[slot].has_value()) {
-                MAYBMS_ASSIGN_OR_RETURN(
-                    projections[slot],
-                    engine::PreparedProjection::Prepare(
-                        *core, certain_, source_plan.output_schema()));
-              }
-              double prob = alt.probability;
-              std::vector<size_t> rows;
-              size_t rem = c;
-              for (size_t b = 0; b < blocks.size(); ++b) {
-                const size_t digit = rem % blocks[b].choices.size();
-                rem /= blocks[b].choices.size();
-                const WeightedChoice& choice = blocks[b].choices[digit];
-                prob *= choice.probability;
-                rows.insert(rows.end(), choice.row_indices.begin(),
-                            choice.row_indices.end());
-              }
-              std::vector<Tuple> chosen;
-              chosen.reserve(rows.size());
-              for (size_t r : rows) chosen.push_back(source.row(r));
-              MAYBMS_ASSIGN_OR_RETURN(
-                  Table result, projections[slot]->Execute(local, chosen));
-              MAYBMS_RETURN_NOT_OK(
-                  base::GovernChargeBytes(base::EstimateTableBytes(
-                      result.num_rows(), result.schema().num_columns())));
-              if (stream_feed) {
-                if (!chunk_combiners[chunk].has_value()) {
-                  MAYBMS_ASSIGN_OR_RETURN(
-                      chunk_combiners[chunk],
-                      QuantifierCombiner::Create(stmt.quantifier));
-                }
-                chunk_combiners[chunk]->Feed(prob, result);
-              } else {
-                Alternative flat = alt;
-                flat.probability = prob;
-                merged.component.alternatives[base + c] = std::move(flat);
-                merged.results[base + c] = std::move(result);
-              }
-              return Status::OK();
-            }));
-        flat_count += combos;
-        if (stream_feed) {
-          for (auto& cc : chunk_combiners) {
-            if (cc.has_value()) stream_combiner->Merge(std::move(*cc));
-          }
-        }
-      }
-      if (stream_feed) {
-        streamed = true;
-      } else {
-        out.merged = std::move(merged);
-      }
+      MAYBMS_ASSIGN_OR_RETURN(blocks, ChoicePartition(source, *stmt.choice));
     }
-  } else if (relevant.empty()) {
-    // Entirely certain input: one evaluation suffices.
-    MAYBMS_ASSIGN_OR_RETURN(Table result,
-                            engine::ExecuteSelect(*core, certain_));
-    out.certain_result = std::move(result);
-  } else if (!needs_merge_tail && QualifiesForFastPath(stmt, referenced)) {
+    DecomposedResult result;
+    result.schema = projection.output_schema();
+    for (const PartitionBlock& block : blocks) {
+      // Each block becomes one component whose alternatives are this
+      // block's choices: charge them as the decomposition's unit of
+      // world fan-out (the explicit engine charges the full product;
+      // the decomposed representation IS the O(n·g) compression).
+      MAYBMS_RETURN_NOT_OK(
+          base::GovernChargeWorlds(block.choices.size()));
+      Component comp;
+      for (const WeightedChoice& choice : block.choices) {
+        std::vector<Tuple> chosen;
+        chosen.reserve(choice.row_indices.size());
+        for (size_t r : choice.row_indices) chosen.push_back(source.row(r));
+        MAYBMS_ASSIGN_OR_RETURN(Table projected,
+                                projection.Execute(certain_, chosen));
+        MAYBMS_RETURN_NOT_OK(
+            base::GovernChargeBytes(base::EstimateTableBytes(
+                projected.num_rows(), projected.schema().num_columns())));
+        Alternative alt;
+        alt.probability = choice.probability;
+        alt.tuples[kResultKey] = projected.rows();
+        comp.alternatives.push_back(std::move(alt));
+      }
+      result.new_components.push_back(std::move(comp));
+    }
+    out.decomposed = std::move(result);
+  } else if (!whole_worlds && !fans_out && !relevant.empty() &&
+             QualifiesForFastPath(stmt, referenced)) {
     // Fast path: push selection/projection into each alternative — no
     // component merging, component structure preserved.
     const std::string rel = AsciiToLower(stmt.from[0].table_name);
@@ -710,536 +549,174 @@ Result<DecomposedWorldSet::PipelineOutput> DecomposedWorldSet::RunPipeline(
       result.contributions.push_back(std::move(per_alt));
     }
     out.decomposed = std::move(result);
+  }
+  if (out.decomposed.has_value()) {
+    if (stmt.quantifier != sql::WorldQuantifier::kNone) {
+      MAYBMS_ASSIGN_OR_RETURN(
+          out.eval.combined,
+          CombineComponents(stmt.quantifier, *out.decomposed));
+    }
+    return out;
+  }
+
+  if (!fans_out && relevant.empty()) {
+    // Entirely certain input: one world, one evaluation.
+    out.certain = true;
+    MAYBMS_ASSIGN_OR_RETURN(Table result,
+                            engine::ExecuteSelect(*core, certain_));
+    fold->Begin(1);
+    MAYBMS_RETURN_NOT_OK(
+        fold->Feed(0, 0, 0, 0, 1.0, certain_, std::move(result)));
+    MAYBMS_RETURN_NOT_OK(fold->End());
   } else {
-    // General path: enumerate the relevant sub-product, evaluate the SQL
-    // core in each local world. The core is planned once against the
-    // certain schemas (local worlds only append rows, never change
-    // schemas) and executed per alternative.
-    MAYBMS_ASSIGN_OR_RETURN(Component merged_src, MergeRelevant(relevant));
-    MAYBMS_ASSIGN_OR_RETURN(engine::PreparedSelect core_plan,
-                            engine::PreparedSelect::Prepare(*core, certain_));
-    // One execution loop, two sinks: streaming mode combines and drops
-    // each local world's answer on the spot (neither the answers nor the
-    // merged component reach the pipeline output — the quantifier
-    // collapses everything to one certain relation); otherwise the
-    // answers are retained for the assert/grouping/materialize tails.
-    MergedResult merged;
-    merged.replaced = relevant;
-    const size_t n = merged_src.size();
-    std::vector<std::optional<engine::PreparedSelect>> plans(slots);
-    plans[0].emplace(std::move(core_plan));
-    std::vector<std::optional<QuantifierCombiner>> chunk_combiners;
-    if (stream_feed) {
-      chunk_combiners.resize(base::ThreadPool::NumChunks(n));
-    } else {
-      merged.results.resize(n);
-    }
-    MAYBMS_RETURN_NOT_OK(pool.ParallelFor(
-        n, threads_, [&](size_t i, size_t slot, size_t chunk) -> Status {
-          if (!plans[slot].has_value()) {
-            MAYBMS_ASSIGN_OR_RETURN(
-                plans[slot], engine::PreparedSelect::Prepare(*core, certain_));
-          }
-          const Alternative& alt = merged_src.alternatives[i];
-          Database local = BuildLocalDatabase({&alt});
-          MAYBMS_ASSIGN_OR_RETURN(Table result, plans[slot]->Execute(local));
-          MAYBMS_RETURN_NOT_OK(
-              base::GovernChargeBytes(base::EstimateTableBytes(
-                  result.num_rows(), result.schema().num_columns())));
-          if (stream_feed) {
-            if (!chunk_combiners[chunk].has_value()) {
-              MAYBMS_ASSIGN_OR_RETURN(
-                  chunk_combiners[chunk],
-                  QuantifierCombiner::Create(stmt.quantifier));
-            }
-            chunk_combiners[chunk]->Feed(alt.probability, result);
-          } else {
-            merged.results[i] = std::move(result);
-          }
-          return Status::OK();
-        }));
-    if (stream_feed) {
-      for (auto& cc : chunk_combiners) {
-        if (cc.has_value()) stream_combiner->Merge(std::move(*cc));
-      }
-      streamed = true;
-    } else {
-      merged.component = std::move(merged_src);
-      out.merged = std::move(merged);
-    }
+    // Enumerate the relevant sub-product — with no relevant component,
+    // the certain core alone — and derive the worlds from its local
+    // worlds. The core is planned once per slot against the shared
+    // schemas (local worlds only append rows).
+    MAYBMS_ASSIGN_OR_RETURN(out.source, MergeRelevant(relevant));
+    out.replaced = relevant;
+    const Component& source = out.source;
+    InputWorlds inputs{
+        source.size(),
+        [&](size_t i, Database* scratch) -> const Database& {
+          *scratch = BuildLocalDatabase({&source.alternatives[i]});
+          return *scratch;
+        },
+        [&](size_t i) { return source.alternatives[i].probability; }};
+    const std::string cap = std::to_string(max_merge_);
+    MAYBMS_RETURN_NOT_OK(EnumerateWorlds(
+        inputs, stmt,
+        max_merge_ == 0 ? std::numeric_limits<uint64_t>::max() : max_merge_,
+        relevant.empty()
+            ? "component merge would exceed " + cap +
+                  " alternatives; the query correlates too many components"
+            : "repair/choice over an uncertain source exceeds the merge "
+              "cap of " + cap + " alternatives",
+        threads_, fold));
   }
-
-  // ---- Step 2: assert. ----
-  if (stmt.assert_condition) {
-    if (out.certain_result.has_value()) {
-      Database extended = certain_;
-      extended.PutRelation(result_name, *out.certain_result);
-      engine::EvalContext ctx{&extended, nullptr, nullptr, nullptr, nullptr,
-                              nullptr};
-      MAYBMS_ASSIGN_OR_RETURN(
-          Trivalent keep, engine::EvalPredicate(*stmt.assert_condition, ctx));
-      if (keep != Trivalent::kTrue) {
-        return Status::EmptyWorldSet("assert eliminated every world");
-      }
-    } else {
-      // Convert the repair/choice product into merged form if needed
-      // (assert correlates the blocks).
-      if (out.decomposed.has_value()) {
-        const DecomposedResult& dec = *out.decomposed;
-        std::vector<const Component*> parts;
-        for (const Component& c : dec.new_components) parts.push_back(&c);
-        MAYBMS_ASSIGN_OR_RETURN(Component flat,
-                                MergeComponents(parts, max_merge_));
-        MergedResult merged;
-        merged.replaced = dec.component_indices;  // empty for repair/choice
-        for (Alternative& alt : flat.alternatives) {
-          Table result(dec.schema);
-          for (const Tuple& t : dec.certain_rows) result.AppendUnchecked(t);
-          auto it = alt.tuples.find(kResultKey);
-          if (it != alt.tuples.end()) {
-            for (const Tuple& t : it->second) result.AppendUnchecked(t);
-            alt.tuples.erase(it);
-          }
-          merged.results.push_back(std::move(result));
-        }
-        merged.component = std::move(flat);
-        out.merged = std::move(merged);
-        out.decomposed.reset();
-      }
-      MergedResult& merged = *out.merged;
-      const size_t n = merged.component.alternatives.size();
-      // Assert predicates run in parallel into per-world keep flags;
-      // subquery plan caches mutate during evaluation, so each slot gets
-      // its own. Compaction stays sequential, in world order.
-      std::vector<char> keep_flags(n, 0);
-      std::vector<engine::SubqueryPlanCache> assert_plans(slots);
-      MAYBMS_RETURN_NOT_OK(pool.ParallelFor(
-          n, threads_, [&](size_t i, size_t slot, size_t) -> Status {
-            Database local =
-                BuildLocalDatabase({&merged.component.alternatives[i]});
-            local.PutRelation(result_name, merged.results[i]);
-            engine::SubqueryCache assert_cache(&assert_plans[slot]);
-            engine::EvalContext ctx{&local,  nullptr, nullptr,
-                                    nullptr, nullptr, &assert_cache};
-            MAYBMS_ASSIGN_OR_RETURN(
-                Trivalent keep,
-                engine::EvalPredicate(*stmt.assert_condition, ctx));
-            keep_flags[i] = keep == Trivalent::kTrue ? 1 : 0;
-            return Status::OK();
-          }));
-      Component surviving;
-      std::vector<Table> surviving_results;
-      for (size_t i = 0; i < n; ++i) {
-        if (!keep_flags[i]) continue;
-        surviving.alternatives.push_back(
-            std::move(merged.component.alternatives[i]));
-        surviving_results.push_back(std::move(merged.results[i]));
-      }
-      if (surviving.alternatives.empty()) {
-        return Status::EmptyWorldSet("assert eliminated every world");
-      }
-      MAYBMS_RETURN_NOT_OK(surviving.Normalize());
-      merged.component = std::move(surviving);
-      merged.results = std::move(surviving_results);
-    }
-  }
-
-  // ---- Step 3: group worlds by / quantifier. ----
-  if (stmt.group_worlds_by) {
-    // Grouping needs per-world answers: merge if not already merged.
-    if (out.decomposed.has_value()) {
-      const DecomposedResult& dec = *out.decomposed;
-      std::vector<const Component*> parts;
-      for (const Component& c : dec.new_components) parts.push_back(&c);
-      std::vector<size_t> replaced = dec.component_indices;
-      if (!replaced.empty()) {
-        MAYBMS_ASSIGN_OR_RETURN(Component flat, MergeRelevant(replaced));
-        // Rebuild per-alternative result tables from the contributions.
-        // For simplicity fall back to the general merged evaluation.
-        MAYBMS_ASSIGN_OR_RETURN(
-            engine::PreparedSelect core_plan,
-            engine::PreparedSelect::Prepare(*core, certain_));
-        MergedResult merged;
-        merged.replaced = replaced;
-        merged.component = std::move(flat);
-        const size_t n = merged.component.alternatives.size();
-        merged.results.resize(n);
-        std::vector<std::optional<engine::PreparedSelect>> plans(slots);
-        plans[0].emplace(std::move(core_plan));
-        MAYBMS_RETURN_NOT_OK(pool.ParallelFor(
-            n, threads_, [&](size_t i, size_t slot, size_t) -> Status {
-              if (!plans[slot].has_value()) {
-                MAYBMS_ASSIGN_OR_RETURN(
-                    plans[slot],
-                    engine::PreparedSelect::Prepare(*core, certain_));
-              }
-              Database local =
-                  BuildLocalDatabase({&merged.component.alternatives[i]});
-              MAYBMS_ASSIGN_OR_RETURN(merged.results[i],
-                                      plans[slot]->Execute(local));
-              return Status::OK();
-            }));
-        out.merged = std::move(merged);
-      } else {
-        MAYBMS_ASSIGN_OR_RETURN(Component flat,
-                                MergeComponents(parts, max_merge_));
-        MergedResult merged;
-        for (Alternative& alt : flat.alternatives) {
-          Table result(dec.schema);
-          for (const Tuple& t : dec.certain_rows) result.AppendUnchecked(t);
-          auto it = alt.tuples.find(kResultKey);
-          if (it != alt.tuples.end()) {
-            for (const Tuple& t : it->second) result.AppendUnchecked(t);
-            alt.tuples.erase(it);
-          }
-          merged.results.push_back(std::move(result));
-        }
-        merged.component = std::move(flat);
-        out.merged = std::move(merged);
-      }
-      out.decomposed.reset();
-    }
-    if (out.certain_result.has_value()) {
-      // Single (class of) world(s): one group.
-      Database extended = certain_;
-      extended.PutRelation(result_name, *out.certain_result);
-      MAYBMS_ASSIGN_OR_RETURN(
-          Table key, engine::ExecuteSelect(*stmt.group_worlds_by, extended));
-      std::vector<std::pair<double, const Table*>> entries = {
-          {1.0, &*out.certain_result}};
-      MAYBMS_ASSIGN_OR_RETURN(Table combined,
-                              CombineByQuantifier(stmt.quantifier, entries));
-      out.groups.push_back(SelectEvaluation::GroupResult{
-          1.0, CanonicalizeGroupKey(key), combined});
-      out.certain_result = std::move(combined);
-    } else {
-      MergedResult& merged = *out.merged;
-      const size_t n = merged.component.alternatives.size();
-      // The grouping query is planned against a local world (it may
-      // reference the result relation, which only exists there) — once
-      // per slot, lazily at the slot's first world; every local world
-      // shares one schema catalog, so the plans are identical.
-      std::vector<std::optional<engine::PreparedSelect>> group_plans(slots);
-      std::vector<Table> answers(n);
-      MAYBMS_RETURN_NOT_OK(pool.ParallelFor(
-          n, threads_, [&](size_t i, size_t slot, size_t) -> Status {
-            Database local =
-                BuildLocalDatabase({&merged.component.alternatives[i]});
-            local.PutRelation(result_name, merged.results[i]);
-            if (!group_plans[slot].has_value()) {
-              MAYBMS_ASSIGN_OR_RETURN(group_plans[slot],
-                                      engine::PreparedSelect::Prepare(
-                                          *stmt.group_worlds_by, local));
-            }
-            MAYBMS_ASSIGN_OR_RETURN(answers[i],
-                                    group_plans[slot]->Execute(local));
-            return Status::OK();
-          }));
-      std::map<std::vector<Tuple>, std::vector<size_t>> groups;
-      std::map<std::vector<Tuple>, Table> key_tables;
-      for (size_t i = 0; i < n; ++i) {
-        Table canonical = CanonicalizeGroupKey(answers[i]);
-        std::vector<Tuple> key = canonical.rows();
-        key_tables.emplace(key, std::move(canonical));
-        groups[std::move(key)].push_back(i);
-      }
-      for (const auto& [key, members] : groups) {
-        MAYBMS_RETURN_NOT_OK(base::GovernPoll());
-        double group_prob = 0;
-        for (size_t i : members) {
-          group_prob += merged.component.alternatives[i].probability;
-        }
-        std::vector<std::pair<double, const Table*>> entries;
-        for (size_t i : members) {
-          entries.emplace_back(
-              group_prob > 0
-                  ? merged.component.alternatives[i].probability / group_prob
-                  : 0,
-              &merged.results[i]);
-        }
-        MAYBMS_ASSIGN_OR_RETURN(Table combined,
-                                CombineByQuantifier(stmt.quantifier, entries));
-        for (size_t i : members) merged.results[i] = combined;
-        out.groups.push_back(SelectEvaluation::GroupResult{
-            group_prob, key_tables.at(key), std::move(combined)});
-      }
-    }
-  } else if (stmt.quantifier != sql::WorldQuantifier::kNone) {
-    if (streamed) {
-      // The merged paths above already folded every local world's answer
-      // into the combiner.
-      MAYBMS_ASSIGN_OR_RETURN(Table combined, stream_combiner->Finish());
-      out.combined = std::move(combined);
-    } else if (out.certain_result.has_value()) {
-      std::vector<std::pair<double, const Table*>> entries = {
-          {1.0, &*out.certain_result}};
-      MAYBMS_ASSIGN_OR_RETURN(out.combined,
-                              CombineByQuantifier(stmt.quantifier, entries));
-    } else if (out.merged.has_value()) {
-      std::vector<std::pair<double, const Table*>> entries;
-      const MergedResult& merged = *out.merged;
-      for (size_t i = 0; i < merged.component.alternatives.size(); ++i) {
-        entries.emplace_back(merged.component.alternatives[i].probability,
-                             &merged.results[i]);
-      }
-      MAYBMS_ASSIGN_OR_RETURN(out.combined,
-                              CombineByQuantifier(stmt.quantifier, entries));
-    } else {
-      // Decomposed result: per-component math, no enumeration.
-      const DecomposedResult& dec = *out.decomposed;
-
-      // View: per component, (probability, rows) per alternative.
-      struct ContribView {
-        double probability;
-        const std::vector<Tuple>* rows;
-      };
-      std::vector<std::vector<ContribView>> views;
-      for (size_t k = 0; k < dec.component_indices.size(); ++k) {
-        const Component& comp = components_[dec.component_indices[k]];
-        std::vector<ContribView> view;
-        for (size_t j = 0; j < comp.size(); ++j) {
-          view.push_back(ContribView{comp.alternatives[j].probability,
-                                     &dec.contributions[k][j]});
-        }
-        views.push_back(std::move(view));
-      }
-      static const std::vector<Tuple>* const kNoRows = new std::vector<Tuple>();
-      for (const Component& comp : dec.new_components) {
-        std::vector<ContribView> view;
-        for (const Alternative& alt : comp.alternatives) {
-          const std::vector<Tuple>* rows = alt.TuplesFor(kResultKey);
-          view.push_back(
-              ContribView{alt.probability, rows != nullptr ? rows : kNoRows});
-        }
-        views.push_back(std::move(view));
-      }
-
-      if (stmt.quantifier == sql::WorldQuantifier::kPossible) {
-        Table result(dec.schema);
-        for (const Tuple& t : dec.certain_rows) result.AppendUnchecked(t);
-        for (const auto& view : views) {
-          MAYBMS_RETURN_NOT_OK(base::GovernPoll());
-          for (const ContribView& cv : view) {
-            for (const Tuple& t : *cv.rows) result.AppendUnchecked(t);
-          }
-        }
-        result.DeduplicateRows();
-        out.combined = std::move(result);
-      } else if (stmt.quantifier == sql::WorldQuantifier::kCertain) {
-        // t is certain iff it is in the certain part or some component
-        // yields it in every alternative.
-        Table result(dec.schema);
-        std::set<Tuple> emitted;
-        for (const Tuple& t : dec.certain_rows) emitted.insert(t);
-        for (const auto& view : views) {
-          MAYBMS_RETURN_NOT_OK(base::GovernPoll());
-          if (view.empty()) continue;
-          std::set<Tuple> candidates(view[0].rows->begin(),
-                                     view[0].rows->end());
-          for (size_t j = 1; j < view.size() && !candidates.empty(); ++j) {
-            std::set<Tuple> next;
-            for (const Tuple& t : *view[j].rows) {
-              if (candidates.count(t)) next.insert(t);
-            }
-            candidates = std::move(next);
-          }
-          emitted.insert(candidates.begin(), candidates.end());
-        }
-        for (const Tuple& t : emitted) result.AppendUnchecked(t);
-        out.combined = std::move(result);
-      } else {  // conf — closed form 1 - prod_c (1 - p_c(t)).
-        std::map<Tuple, double> not_prob;  // t -> prod (1 - p_c(t))
-        std::set<Tuple> certain_set(dec.certain_rows.begin(),
-                                    dec.certain_rows.end());
-        for (const auto& view : views) {
-          MAYBMS_RETURN_NOT_OK(base::GovernPoll());
-          std::map<Tuple, double> p_c;
-          for (const ContribView& cv : view) {
-            std::set<Tuple> distinct(cv.rows->begin(), cv.rows->end());
-            for (const Tuple& t : distinct) p_c[t] += cv.probability;
-          }
-          for (const auto& [t, p] : p_c) {
-            auto [it, inserted] = not_prob.emplace(t, 1.0);
-            it->second *= (1.0 - p);
-          }
-        }
-        bool zero_ary = dec.schema.num_columns() == 0;
-        if (zero_ary) {
-          double conf = certain_set.empty()
-                            ? (not_prob.empty() ? 0.0
-                                                : 1.0 - not_prob.begin()->second)
-                            : 1.0;
-          Schema schema;
-          schema.AddColumn(Column("conf", DataType::kReal));
-          Table result(std::move(schema));
-          result.AppendUnchecked(Tuple({Value::Real(conf)}));
-          out.combined = std::move(result);
-        } else {
-          Schema schema = dec.schema;
-          schema.AddColumn(Column("conf", DataType::kReal));
-          Table result(std::move(schema));
-          std::map<Tuple, double> conf;
-          for (const Tuple& t : certain_set) conf[t] = 1.0;
-          for (const auto& [t, np] : not_prob) {
-            if (certain_set.count(t)) continue;
-            conf[t] = 1.0 - np;
-          }
-          for (const auto& [t, p] : conf) {
-            Tuple extended = t;
-            extended.Append(Value::Real(p));
-            result.AppendUnchecked(std::move(extended));
-          }
-          out.combined = std::move(result);
-        }
-      }
-    }
-  }
-
+  MAYBMS_ASSIGN_OR_RETURN(out.eval, fold->Finish());
   return out;
 }
 
-Result<std::vector<SelectEvaluation::GroupResult>>
-DecomposedWorldSet::EvaluateGroupedStreaming(
-    const sql::SelectStatement& stmt) const {
-  MAYBMS_RETURN_NOT_OK(ValidateWorldOps(stmt));
-  if (engine::HasWorldOps(*stmt.group_worlds_by)) {
-    return Status::Unsupported(
-        "the GROUP WORLDS BY query must be a plain SQL query");
+Result<Table> DecomposedWorldSet::CombineComponents(
+    sql::WorldQuantifier quantifier, const DecomposedResult& dec) const {
+  // View: per component, (probability, rows) per alternative.
+  struct ContribView {
+    double probability;
+    const std::vector<Tuple>* rows;
+  };
+  std::vector<std::vector<ContribView>> views;
+  for (size_t k = 0; k < dec.component_indices.size(); ++k) {
+    const Component& comp = components_[dec.component_indices[k]];
+    std::vector<ContribView> view;
+    for (size_t j = 0; j < comp.size(); ++j) {
+      view.push_back(ContribView{comp.alternatives[j].probability,
+                                 &dec.contributions[k][j]});
+    }
+    views.push_back(std::move(view));
   }
-  std::unique_ptr<sql::SelectStatement> core = StripWorldOps(stmt);
-  std::set<std::string> referenced;
-  CollectReferencedRelations(stmt, &referenced);
-  std::vector<size_t> relevant = RelevantComponents(referenced);
+  static const std::vector<Tuple>* const kNoRows = new std::vector<Tuple>();
+  for (const Component& comp : dec.new_components) {
+    std::vector<ContribView> view;
+    for (const Alternative& alt : comp.alternatives) {
+      const std::vector<Tuple>* rows = alt.TuplesFor(kResultKey);
+      view.push_back(
+          ContribView{alt.probability, rows != nullptr ? rows : kNoRows});
+    }
+    views.push_back(std::move(view));
+  }
 
-  // The shared grouped accumulator (worlds/combiner.h): one combiner per
-  // distinct group key, fed unnormalized probabilities, normalized per
-  // group at Finish — identical semantics on both engines.
-  GroupedQuantifierCombiner grouped(stmt.quantifier);
-
-  if (relevant.empty()) {
-    // Entirely certain input: every world computes the same answer and
-    // the same group key — a single group of probability one.
-    MAYBMS_ASSIGN_OR_RETURN(Table result,
-                            engine::ExecuteSelect(*core, certain_));
-    if (stmt.assert_condition) {
-      engine::EvalContext ctx{&certain_, nullptr, nullptr, nullptr, nullptr,
-                              nullptr};
-      MAYBMS_ASSIGN_OR_RETURN(
-          Trivalent keep, engine::EvalPredicate(*stmt.assert_condition, ctx));
-      if (keep != Trivalent::kTrue) {
-        return Status::EmptyWorldSet("assert eliminated every world");
+  if (quantifier == sql::WorldQuantifier::kPossible) {
+    Table result(dec.schema);
+    for (const Tuple& t : dec.certain_rows) result.AppendUnchecked(t);
+    for (const auto& view : views) {
+      MAYBMS_RETURN_NOT_OK(base::GovernPoll());
+      for (const ContribView& cv : view) {
+        for (const Tuple& t : *cv.rows) result.AppendUnchecked(t);
       }
     }
-    MAYBMS_ASSIGN_OR_RETURN(
-        Table key, engine::ExecuteSelect(*stmt.group_worlds_by, certain_));
-    MAYBMS_RETURN_NOT_OK(grouped.Feed(1.0, result, key));
-    return grouped.Finish();
-  }
-
-  // Merge the relevant sub-product (the group key needs every local
-  // world), then stream: each local world's answer is combined into its
-  // group's accumulator and dropped — `merged.results` never exists.
-  MAYBMS_ASSIGN_OR_RETURN(Component merged_src, MergeRelevant(relevant));
-  MAYBMS_ASSIGN_OR_RETURN(engine::PreparedSelect core_plan,
-                          engine::PreparedSelect::Prepare(*core, certain_));
-
-  // Parallel streaming: per-chunk grouped combiners merged in chunk order
-  // reproduce the sequential feed order; prepared plans and subquery
-  // caches are per slot. The group plan stays lazily prepared at a slot's
-  // first *surviving* world — no survivors means no preparation, exactly
-  // as in the sequential path.
-  base::ThreadPool& pool = base::ThreadPool::Shared();
-  const size_t slots = pool.Slots(threads_);
-  const size_t n = merged_src.size();
-  std::vector<std::optional<engine::PreparedSelect>> core_plans(slots);
-  core_plans[0].emplace(std::move(core_plan));
-  std::vector<std::optional<engine::PreparedSelect>> group_plans(slots);
-  std::vector<engine::SubqueryPlanCache> assert_plans(slots);
-  std::vector<std::optional<GroupedQuantifierCombiner>> chunks(
-      base::ThreadPool::NumChunks(n));
-
-  MAYBMS_RETURN_NOT_OK(pool.ParallelFor(
-      n, threads_, [&](size_t i, size_t slot, size_t chunk) -> Status {
-        if (!core_plans[slot].has_value()) {
-          MAYBMS_ASSIGN_OR_RETURN(
-              core_plans[slot], engine::PreparedSelect::Prepare(*core,
-                                                                certain_));
+    result.DeduplicateRows();
+    return result;
+  } else if (quantifier == sql::WorldQuantifier::kCertain) {
+    // t is certain iff it is in the certain part or some component
+    // yields it in every alternative.
+    Table result(dec.schema);
+    std::set<Tuple> emitted;
+    for (const Tuple& t : dec.certain_rows) emitted.insert(t);
+    for (const auto& view : views) {
+      MAYBMS_RETURN_NOT_OK(base::GovernPoll());
+      if (view.empty()) continue;
+      std::set<Tuple> candidates(view[0].rows->begin(),
+                                 view[0].rows->end());
+      for (size_t j = 1; j < view.size() && !candidates.empty(); ++j) {
+        std::set<Tuple> next;
+        for (const Tuple& t : *view[j].rows) {
+          if (candidates.count(t)) next.insert(t);
         }
-        const Alternative& alt = merged_src.alternatives[i];
-        Database local = BuildLocalDatabase({&alt});
-        MAYBMS_ASSIGN_OR_RETURN(Table result, core_plans[slot]->Execute(local));
-        MAYBMS_RETURN_NOT_OK(
-            base::GovernChargeBytes(base::EstimateTableBytes(
-                result.num_rows(), result.schema().num_columns())));
-        if (stmt.assert_condition) {
-          engine::SubqueryCache assert_cache(&assert_plans[slot]);
-          engine::EvalContext ctx{&local,  nullptr, nullptr,
-                                  nullptr, nullptr, &assert_cache};
-          MAYBMS_ASSIGN_OR_RETURN(
-              Trivalent keep,
-              engine::EvalPredicate(*stmt.assert_condition, ctx));
-          if (keep != Trivalent::kTrue) return Status::OK();
-        }
-        if (!group_plans[slot].has_value()) {
-          MAYBMS_ASSIGN_OR_RETURN(group_plans[slot],
-                                  engine::PreparedSelect::Prepare(
-                                      *stmt.group_worlds_by, certain_));
-        }
-        MAYBMS_ASSIGN_OR_RETURN(Table answer, group_plans[slot]->Execute(local));
-        if (!chunks[chunk].has_value()) chunks[chunk].emplace(stmt.quantifier);
-        return chunks[chunk]->Feed(alt.probability, result, answer);
-      }));
-  for (auto& c : chunks) {
-    if (c.has_value()) MAYBMS_RETURN_NOT_OK(grouped.Merge(std::move(*c)));
+        candidates = std::move(next);
+      }
+      emitted.insert(candidates.begin(), candidates.end());
+    }
+    for (const Tuple& t : emitted) result.AppendUnchecked(t);
+    return result;
+  } else {  // conf — closed form 1 - prod_c (1 - p_c(t)).
+    std::map<Tuple, double> not_prob;  // t -> prod (1 - p_c(t))
+    std::set<Tuple> certain_set(dec.certain_rows.begin(),
+                                dec.certain_rows.end());
+    for (const auto& view : views) {
+      MAYBMS_RETURN_NOT_OK(base::GovernPoll());
+      std::map<Tuple, double> p_c;
+      for (const ContribView& cv : view) {
+        std::set<Tuple> distinct(cv.rows->begin(), cv.rows->end());
+        for (const Tuple& t : distinct) p_c[t] += cv.probability;
+      }
+      for (const auto& [t, p] : p_c) {
+        auto [it, inserted] = not_prob.emplace(t, 1.0);
+        it->second *= (1.0 - p);
+      }
+    }
+    bool zero_ary = dec.schema.num_columns() == 0;
+    if (zero_ary) {
+      double conf = certain_set.empty()
+                        ? (not_prob.empty() ? 0.0
+                                            : 1.0 - not_prob.begin()->second)
+                        : 1.0;
+      Schema schema;
+      schema.AddColumn(Column("conf", DataType::kReal));
+      Table result(std::move(schema));
+      result.AppendUnchecked(Tuple({Value::Real(conf)}));
+      return result;
+    } else {
+      Schema schema = dec.schema;
+      schema.AddColumn(Column("conf", DataType::kReal));
+      Table result(std::move(schema));
+      std::map<Tuple, double> conf;
+      for (const Tuple& t : certain_set) conf[t] = 1.0;
+      for (const auto& [t, np] : not_prob) {
+        if (certain_set.count(t)) continue;
+        conf[t] = 1.0 - np;
+      }
+      for (const auto& [t, p] : conf) {
+        Tuple extended = t;
+        extended.Append(Value::Real(p));
+        result.AppendUnchecked(std::move(extended));
+      }
+      return result;
+    }
   }
-
-  if (stmt.assert_condition && grouped.worlds_fed() == 0) {
-    return Status::EmptyWorldSet("assert eliminated every world");
-  }
-  return grouped.Finish();
 }
 
 Result<SelectEvaluation> DecomposedWorldSet::EvaluateSelect(
     const sql::SelectStatement& stmt, size_t max_worlds) const {
-  if (stmt.group_worlds_by && stmt.quantifier != sql::WorldQuantifier::kNone &&
-      !stmt.repair.has_value() && !stmt.choice.has_value() &&
-      !ReferencesInternalResult(stmt)) {
-    MAYBMS_ASSIGN_OR_RETURN(std::vector<SelectEvaluation::GroupResult> groups,
-                            EvaluateGroupedStreaming(stmt));
-    SelectEvaluation eval;
-    eval.groups = std::move(groups);
+  MAYBMS_ASSIGN_OR_RETURN(WorldFold fold,
+                          WorldFold::ForSelect(stmt, threads_));
+  MAYBMS_ASSIGN_OR_RETURN(PipelineOutput out, RunPipeline(stmt, &fold));
+  SelectEvaluation eval = std::move(out.eval);
+  if (!out.decomposed.has_value()) {
+    MAYBMS_RETURN_NOT_OK(fold.ListWorlds(max_worlds, &eval));
     return eval;
   }
-  MAYBMS_ASSIGN_OR_RETURN(PipelineOutput out, RunPipeline(stmt, "__result"));
-  SelectEvaluation eval;
-  eval.combined = std::move(out.combined);
-  eval.groups = std::move(out.groups);
-  if (eval.combined.has_value() || !eval.groups.empty()) {
-    if (!eval.groups.empty() && !eval.combined.has_value()) {
-      // Groups carry the results; leave per_world empty.
-      return eval;
-    }
-    return eval;
-  }
-
-  if (out.certain_result.has_value()) {
-    eval.per_world.emplace_back(1.0, std::move(*out.certain_result));
-    return eval;
-  }
-
-  if (out.merged.has_value()) {
-    const MergedResult& merged = *out.merged;
-    for (size_t i = 0; i < merged.component.alternatives.size(); ++i) {
-      if (eval.per_world.size() >= max_worlds) {
-        eval.truncated = true;
-        break;
-      }
-      MAYBMS_RETURN_NOT_OK(base::GovernPoll());
-      eval.per_world.emplace_back(merged.component.alternatives[i].probability,
-                                  merged.results[i]);
-    }
-    return eval;
-  }
+  if (eval.combined.has_value()) return eval;
 
   // Decomposed result: enumerate the product of the involved components
   // only (all other components leave the answer unchanged).
@@ -1302,59 +779,49 @@ Status DecomposedWorldSet::MaterializeSelect(const std::string& name,
   if (HasRelation(name)) {
     return Status::AlreadyExists("relation already exists: " + name);
   }
-  MAYBMS_ASSIGN_OR_RETURN(PipelineOutput out, RunPipeline(stmt, name));
+  MAYBMS_ASSIGN_OR_RETURN(WorldFold fold,
+                          WorldFold::Create(stmt, name, threads_,
+                                            WorldFold::Keep::kAnswers));
+  MAYBMS_ASSIGN_OR_RETURN(PipelineOutput out, RunPipeline(stmt, &fold));
   const std::string lower = AsciiToLower(name);
-  const bool structure_dirty = stmt.assert_condition != nullptr;
+  std::optional<Table>& combined = out.eval.combined;
+  std::vector<FoldedWorld>& kept = fold.worlds();
 
-  auto commit_merged = [&](MergedResult& merged, bool store_results) {
-    // Replace the merged-away components.
-    std::vector<size_t> replaced = merged.replaced;
-    std::sort(replaced.rbegin(), replaced.rend());
-    for (size_t i : replaced) {
+  if (combined.has_value() && !stmt.assert_condition) {
+    // The quantifier collapsed the answer to a certain relation and no
+    // world was dropped: the decomposition keeps its structure.
+    certain_.PutRelation(name, std::move(*combined));
+    return Status::OK();
+  }
+  if (out.certain) {
+    certain_.PutRelation(name, std::move(kept.front().answer));
+    return Status::OK();
+  }
+  if (!out.decomposed.has_value()) {
+    // The kept worlds replace the components they derive from, each
+    // storing its answer (or, under a quantifier, nothing: the combined
+    // answer is certain).
+    const bool fans_out = stmt.repair.has_value() || stmt.choice.has_value();
+    Component derived;
+    derived.alternatives.reserve(kept.size());
+    for (FoldedWorld& world : kept) {
+      MAYBMS_RETURN_NOT_OK(base::GovernPoll());
+      Alternative& source = out.source.alternatives[world.input];
+      derived.alternatives.push_back(fans_out ? Alternative(source)
+                                              : std::move(source));
+      Alternative& alt = derived.alternatives.back();
+      alt.probability = world.probability;
+      if (!combined.has_value()) alt.tuples[lower] = world.answer->rows();
+    }
+    std::sort(out.replaced.rbegin(), out.replaced.rend());
+    for (size_t i : out.replaced) {
       components_.erase(components_.begin() + static_cast<long>(i));
     }
-    Schema schema = merged.results.empty() ? Schema() :
-                    merged.results[0].schema();
-    if (store_results) {
-      for (size_t i = 0; i < merged.component.alternatives.size(); ++i) {
-        merged.component.alternatives[i].tuples[lower] =
-            merged.results[i].rows();
-      }
-    }
-    certain_.PutRelation(name, Table(schema));
-    components_.push_back(std::move(merged.component));
-  };
-
-  if (!out.groups.empty()) {
-    // Per-group results: store per alternative (group-combined already).
-    if (out.merged.has_value()) {
-      commit_merged(*out.merged, /*store_results=*/true);
-    } else if (out.certain_result.has_value()) {
-      certain_.PutRelation(name, std::move(*out.certain_result));
-    }
-    return Status::OK();
-  }
-
-  if (out.combined.has_value()) {
-    // Quantifier collapsed the answer to a certain relation.
-    if (structure_dirty && out.merged.has_value()) {
-      commit_merged(*out.merged, /*store_results=*/false);
-      // Overwrite the placeholder commit_merged stored: a handle swap,
-      // not a clone-and-assign.
-      certain_.PutRelation(name, std::move(*out.combined));
-    } else {
-      certain_.PutRelation(name, std::move(*out.combined));
-    }
-    return Status::OK();
-  }
-
-  if (out.certain_result.has_value()) {
-    certain_.PutRelation(name, std::move(*out.certain_result));
-    return Status::OK();
-  }
-
-  if (out.merged.has_value()) {
-    commit_merged(*out.merged, /*store_results=*/true);
+    certain_.PutRelation(
+        name, combined.has_value()
+                  ? std::move(*combined)
+                  : Table(kept.empty() ? Schema() : kept[0].answer->schema()));
+    components_.push_back(std::move(derived));
     return Status::OK();
   }
 

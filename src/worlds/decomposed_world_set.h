@@ -114,40 +114,25 @@ class DecomposedWorldSet : public WorldSet {
     std::vector<Component> new_components;            // repair/choice output
   };
 
-  /// The merged form: one flattened component (replacing `replaced`
-  /// components of components_) whose alternative i has full result table
-  /// `results[i]`.
-  struct MergedResult {
-    Component component;
-    std::vector<Table> results;
-    std::vector<size_t> replaced;  // indices into components_
-  };
-
   struct PipelineOutput {
-    std::optional<Table> certain_result;      // result certain in all worlds
-    std::optional<DecomposedResult> decomposed;
-    std::optional<MergedResult> merged;
-    std::optional<Table> combined;            // quantifier answer
-    std::vector<SelectEvaluation::GroupResult> groups;
+    SelectEvaluation eval;                       // combined / groups
+    std::optional<DecomposedResult> decomposed;  // per-component sources
+    bool certain = false;  // the fold ran over the certain core alone
+    Component source;      // else: the local worlds the fold derived from
+    std::vector<size_t> replaced;  // components merged into `source`
   };
 
-  /// `result_name` is the relation name under which the statement's
-  /// per-world result is visible to `assert` conditions and
-  /// `group worlds by` queries (the CREATE TABLE target name, or
-  /// "__result" for plain selects) — mirroring the explicit engine.
+  /// Runs `stmt` into `fold` (worlds/combiner.h), or — for a statement
+  /// without assert / group worlds by whose answer decomposes (the
+  /// single-relation fast path, repair/choice over certain data) — into
+  /// `decomposed`, combining a quantifier per component.
   Result<PipelineOutput> RunPipeline(const sql::SelectStatement& stmt,
-                                     const std::string& result_name) const;
+                                     WorldFold* fold) const;
 
-  /// Streaming grouped-quantifier evaluation: one pass over the local
-  /// worlds of the relevant sub-product keeping a per-group-key
-  /// QuantifierCombiner (fed unnormalized alternative probabilities,
-  /// normalized per group at Finish) — per-alternative answers are never
-  /// materialized as a batch. Used by EvaluateSelect for grouped
-  /// statements without repair/choice whose assert/grouping queries do
-  /// not reference the internal "__result" relation; everything else
-  /// falls back to the materializing pipeline.
-  Result<std::vector<SelectEvaluation::GroupResult>> EvaluateGroupedStreaming(
-      const sql::SelectStatement& stmt) const;
+  /// possible/certain/conf of a decomposed result by per-component math,
+  /// without enumerating worlds (conf: 1 − ∏_c (1 − p_c(t))).
+  Result<Table> CombineComponents(sql::WorldQuantifier quantifier,
+                                  const DecomposedResult& dec) const;
 
   /// Indices of components contributing to any of `relations` (lower-case).
   std::vector<size_t> RelevantComponents(

@@ -1,10 +1,16 @@
 #include "worlds/world_set.h"
 
-#include <algorithm>
-#include <map>
+#include <limits>
+#include <optional>
+#include <utility>
 
+#include "base/query_context.h"
 #include "base/string_util.h"
+#include "base/thread_pool.h"
 #include "engine/executor.h"
+#include "engine/prepared.h"
+#include "worlds/combiner.h"
+#include "worlds/partition.h"
 
 namespace maybms::worlds {
 
@@ -126,83 +132,129 @@ void CollectReferencedRelations(const sql::SelectStatement& stmt,
   if (stmt.union_next) CollectReferencedRelations(*stmt.union_next, out);
 }
 
-bool ReferencesInternalResult(const sql::SelectStatement& stmt) {
-  std::set<std::string> refs;
-  CollectReferencedRelations(stmt, &refs);
-  return refs.count("__result") > 0;
+std::unique_ptr<sql::SelectStatement> StripWorldOps(
+    const sql::SelectStatement& stmt) {
+  std::unique_ptr<sql::SelectStatement> core = stmt.Clone();
+  core->quantifier = sql::WorldQuantifier::kNone;
+  core->repair.reset();
+  core->choice.reset();
+  core->assert_condition.reset();
+  core->group_worlds_by.reset();
+  return core;
 }
 
-Table CombinePossible(const std::vector<std::pair<double, Table>>& entries) {
-  Table out;
-  bool first = true;
-  for (const auto& [prob, table] : entries) {
-    (void)prob;
-    if (first) {
-      out = table;
-      first = false;
+bool FoldsWorlds(const sql::SelectStatement& stmt) {
+  return stmt.quantifier != sql::WorldQuantifier::kNone;
+}
+
+namespace {
+
+/// Memory-budget charge for one per-world answer: every derived world pays
+/// it exactly once, whoever consumes the answer.
+Status ChargeAnswer(const Table& answer) {
+  return base::GovernChargeBytes(base::EstimateTableBytes(
+      answer.num_rows(), answer.schema().num_columns()));
+}
+
+}  // namespace
+
+Status EnumerateWorlds(const InputWorlds& inputs,
+                       const sql::SelectStatement& stmt, uint64_t cap,
+                       const std::string& cap_error, size_t threads,
+                       WorldFold* fold) {
+  base::ThreadPool& pool = base::ThreadPool::Shared();
+  std::unique_ptr<sql::SelectStatement> core = StripWorldOps(stmt);
+  // Plans lazily build subquery-plan caches during Execute, so each thread
+  // slot owns its own, prepared at the slot's first world. Preparation is
+  // schema-only and every world shares one schema catalog, so a failing
+  // preparation fails at world 0 first — the sequential error.
+  if (!stmt.repair.has_value() && !stmt.choice.has_value()) {
+    std::vector<std::optional<engine::PreparedSelect>> plans(
+        pool.Slots(threads));
+    fold->Begin(inputs.size);
+    MAYBMS_RETURN_NOT_OK(pool.ParallelFor(
+        inputs.size, threads,
+        [&](size_t i, size_t slot, size_t chunk) -> Status {
+          Database scratch;
+          const Database& db = inputs.db(i, &scratch);
+          if (!plans[slot].has_value()) {
+            MAYBMS_ASSIGN_OR_RETURN(plans[slot],
+                                    engine::PreparedSelect::Prepare(*core, db));
+          }
+          MAYBMS_ASSIGN_OR_RETURN(Table answer, plans[slot]->Execute(db));
+          MAYBMS_RETURN_NOT_OK(ChargeAnswer(answer));
+          return fold->Feed(i, i, slot, chunk, inputs.probability(i), db,
+                            std::move(answer));
+        }));
+    return fold->End();
+  }
+
+  std::optional<engine::PreparedFromWhere> source_plan;
+  std::vector<std::optional<engine::PreparedProjection>> projections(
+      pool.Slots(threads));
+  uint64_t produced = 0;
+  for (size_t w = 0; w < inputs.size; ++w) {
+    MAYBMS_RETURN_NOT_OK(base::GovernPoll());
+    Database scratch;
+    const Database& db = inputs.db(w, &scratch);
+    if (!source_plan.has_value()) {
+      MAYBMS_ASSIGN_OR_RETURN(source_plan,
+                              engine::PreparedFromWhere::Prepare(stmt, db));
+    }
+    MAYBMS_ASSIGN_OR_RETURN(Table source, source_plan->Execute(db));
+    std::vector<PartitionBlock> blocks;
+    if (stmt.repair.has_value()) {
+      MAYBMS_ASSIGN_OR_RETURN(blocks, RepairPartition(source, *stmt.repair));
     } else {
-      for (const Tuple& row : table.rows()) out.AppendUnchecked(row);
+      MAYBMS_ASSIGN_OR_RETURN(blocks, ChoicePartition(source, *stmt.choice));
     }
-  }
-  out.DeduplicateRows();
-  return out;
-}
+    // Checked against the cap before any combination runs.
+    uint64_t combos = 1;
+    for (const PartitionBlock& block : blocks) {
+      const uint64_t choices = block.choices.size();
+      if (choices != 0 &&
+          combos > std::numeric_limits<uint64_t>::max() / choices) {
+        return Status::Unsupported(cap_error);
+      }
+      combos *= choices;
+      if (combos > cap - produced) return Status::Unsupported(cap_error);
+    }
+    produced += combos;
+    // The fan-out is THE world-budget charge site: combos derived worlds
+    // come into existence here whichever pipeline consumes them.
+    MAYBMS_RETURN_NOT_OK(base::GovernChargeWorlds(combos));
 
-Table CombineCertain(const std::vector<std::pair<double, Table>>& entries) {
-  if (entries.empty()) return Table();
-  Table acc = entries[0].second.SortedDistinct();
-  for (size_t i = 1; i < entries.size(); ++i) {
-    Table next(acc.schema());
-    for (const Tuple& row : acc.rows()) {
-      if (entries[i].second.ContainsTuple(row)) next.AppendUnchecked(row);
-    }
-    acc = std::move(next);
+    const double probability = inputs.probability(w);
+    fold->Begin(combos);
+    MAYBMS_RETURN_NOT_OK(pool.ParallelFor(
+        combos, threads, [&](size_t c, size_t slot, size_t chunk) -> Status {
+          if (!projections[slot].has_value()) {
+            MAYBMS_ASSIGN_OR_RETURN(projections[slot],
+                                    engine::PreparedProjection::Prepare(
+                                        *core, db,
+                                        source_plan->output_schema()));
+          }
+          // Decode combination c: digit b picks block b's choice. An empty
+          // block list (repair of an empty relation) yields exactly the
+          // single empty choice c == 0.
+          double prob = probability;
+          std::vector<Tuple> chosen;
+          uint64_t rem = c;
+          for (const PartitionBlock& block : blocks) {
+            const WeightedChoice& choice =
+                block.choices[rem % block.choices.size()];
+            rem /= block.choices.size();
+            prob *= choice.probability;
+            for (size_t r : choice.row_indices) chosen.push_back(source.row(r));
+          }
+          MAYBMS_ASSIGN_OR_RETURN(Table answer,
+                                  projections[slot]->Execute(db, chosen));
+          MAYBMS_RETURN_NOT_OK(ChargeAnswer(answer));
+          return fold->Feed(w, c, slot, chunk, prob, db, std::move(answer));
+        }));
+    MAYBMS_RETURN_NOT_OK(fold->End());
   }
-  return acc;
-}
-
-Table CombineConf(const std::vector<std::pair<double, Table>>& entries) {
-  // 0-column answers: confidence that the answer is non-empty.
-  bool zero_ary = true;
-  for (const auto& [prob, table] : entries) {
-    (void)prob;
-    if (table.schema().num_columns() > 0) {
-      zero_ary = false;
-      break;
-    }
-  }
-  if (zero_ary) {
-    double conf = 0;
-    for (const auto& [prob, table] : entries) {
-      if (!table.empty()) conf += prob;
-    }
-    Schema schema;
-    schema.AddColumn(Column("conf", DataType::kReal));
-    Table out(std::move(schema));
-    out.AppendUnchecked(Tuple({Value::Real(conf)}));
-    return out;
-  }
-
-  // Distinct tuples across all worlds, each with the total probability of
-  // the worlds whose answer contains it.
-  std::map<Tuple, double> conf;
-  Schema value_schema;
-  for (const auto& [prob, table] : entries) {
-    if (value_schema.num_columns() == 0 && table.schema().num_columns() > 0) {
-      value_schema = table.schema();
-    }
-    Table distinct = table.SortedDistinct();
-    for (const Tuple& row : distinct.rows()) conf[row] += prob;
-  }
-  Schema schema = value_schema;
-  schema.AddColumn(Column("conf", DataType::kReal));
-  Table out(std::move(schema));
-  for (const auto& [row, p] : conf) {
-    Tuple extended = row;
-    extended.Append(Value::Real(p));
-    out.AppendUnchecked(std::move(extended));
-  }
-  return out;
+  return Status::OK();
 }
 
 Table CanonicalizeGroupKey(const Table& table) { return table.SortedDistinct(); }

@@ -29,14 +29,15 @@
 //    after every world succeeded.
 //
 // Trivalent logic / NULL keys: per-world evaluation uses standard SQL
-// three-valued logic (engine/expr_eval.h); the cross-world combinators
-// (CombinePossible/CombineCertain/CombineConf) compare answer *tuples*
-// under the total order of Value, where NULL is a plain value — two NULL
-// answer fields compare equal for world-combination purposes even though
-// NULL = NULL is UNKNOWN inside a query.
+// three-valued logic (engine/expr_eval.h); the cross-world combination
+// (worlds/combiner.h) compares answer *tuples* under the total order of
+// Value, where NULL is a plain value — two NULL answer fields compare
+// equal for world-combination purposes even though NULL = NULL is
+// UNKNOWN inside a query.
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <set>
@@ -184,35 +185,44 @@ void CollectReferencedRelations(const sql::SelectStatement& stmt,
 void CollectReferencedRelations(const sql::Expr& expr,
                                 std::set<std::string>* out);
 
-/// True if the statement references the internal "__result" relation —
-/// the name under which a statement's own per-world answer is exposed to
-/// `assert` / `group worlds by` in the materializing pipelines. Both
-/// engines use this as the gate for the streaming evaluation paths
-/// (which never materialize that relation, and so must fall back when it
-/// is observable); keeping the rule here prevents the engines from
-/// diverging on which statements stream.
-bool ReferencesInternalResult(const sql::SelectStatement& stmt);
+/// Returns a copy of `stmt` with all world-set operations removed, leaving
+/// the per-world SQL core (select list, from, where, grouping, ordering,
+/// union).
+std::unique_ptr<sql::SelectStatement> StripWorldOps(
+    const sql::SelectStatement& stmt);
 
-// The set-based combinators below are the *retained oracle* for the
-// streaming QuantifierCombiner (worlds/combiner.h), which both engines
-// use on their hot paths. They stay exercised two ways: the combiner
-// property suite compares the two on randomized inputs, and setting
-// MAYBMS_COMBINER_ORACLE=1 routes every combination in the engine through
-// them end to end.
+/// True if EvaluateSelect folds `stmt`'s worlds (WorldFold in
+/// worlds/combiner.h) without keeping any per-world answer: every
+/// quantified SELECT. A plain SELECT lists its per-world answers, which
+/// the engines materialize — as they do for `create table … as`.
+bool FoldsWorlds(const sql::SelectStatement& stmt);
 
-/// Combines per-world results under `possible`: the distinct union.
-/// Entries' tables must share arity.
-Table CombinePossible(const std::vector<std::pair<double, Table>>& entries);
+class WorldFold;
 
-/// Combines per-world results under `certain`: tuples present in every
-/// world's answer.
-Table CombineCertain(const std::vector<std::pair<double, Table>>& entries);
+/// The worlds a pipeline derives its worlds from: input world i has
+/// probability `probability(i)` and database `db(i, scratch)`, which
+/// either returns a stored database or builds one into `*scratch` (the
+/// decomposed engine's local worlds). Both are called from pool threads.
+struct InputWorlds {
+  size_t size = 0;
+  std::function<const Database&(size_t i, Database* scratch)> db;
+  std::function<double(size_t i)> probability;
+};
 
-/// Combines per-world results under `conf`: each distinct tuple extended
-/// with the sum of probabilities of the worlds whose answer contains it.
-/// For 0-column answers (bare `select conf`), produces a single-row table
-/// with one `conf` column holding P(answer non-empty).
-Table CombineConf(const std::vector<std::pair<double, Table>>& entries);
+/// Runs the SQL core of `stmt` in the input worlds and feeds every derived
+/// world to `fold`: one world per input world, or under `repair by key` /
+/// `choice of` one world per repair/choice combination of each input
+/// world. Worlds run on the shared pool (`threads` caps it) with plans
+/// prepared once per thread slot; input worlds of a fan-out advance in
+/// sequence, and combination `c` of one is decoded from the per-block
+/// mixed-radix odometer (block 0 least significant), so derivation order,
+/// probability products and the first error are those of the sequential
+/// walk at any thread count. The fan-out is the world-budget charge site;
+/// more than `cap` derived worlds fail with Unsupported(`cap_error`).
+Status EnumerateWorlds(const InputWorlds& inputs,
+                       const sql::SelectStatement& stmt, uint64_t cap,
+                       const std::string& cap_error, size_t threads,
+                       WorldFold* fold);
 
 /// Canonical key for group-worlds-by: the sorted distinct rows of the
 /// grouping query's answer.

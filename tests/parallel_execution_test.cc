@@ -473,7 +473,8 @@ TEST(CombinerMergeTest, GroupedMergeMatchesSequentialFeed) {
 
     worlds::GroupedQuantifierCombiner sequential(sql::WorldQuantifier::kConf);
     for (const auto& [p, answer, key] : feeds) {
-      ASSERT_TRUE(sequential.Feed(p, answer, key).ok());
+      ASSERT_TRUE(
+          sequential.Feed(p, answer, worlds::CanonicalizeGroupKey(key)).ok());
     }
     auto expected = sequential.Finish();
     ASSERT_TRUE(expected.ok());
@@ -486,7 +487,8 @@ TEST(CombinerMergeTest, GroupedMergeMatchesSequentialFeed) {
            ++i) {
         ASSERT_TRUE(chunk
                         .Feed(std::get<0>(feeds[i]), std::get<1>(feeds[i]),
-                              std::get<2>(feeds[i]))
+                              worlds::CanonicalizeGroupKey(
+                                  std::get<2>(feeds[i])))
                         .ok());
       }
       ASSERT_TRUE(merged.Merge(std::move(chunk)).ok());
