@@ -180,7 +180,8 @@ struct FoldedWorld {
 /// The assert and grouping queries see the world's database; when they
 /// name the statement's own answer (`__result`, or the `create table`
 /// target) the fold evaluates them over a copy of the database that holds
-/// the answer under that name — the only case that copies a database.
+/// the answer under that name. Apart from Keep::kWorlds, that is the only
+/// case that copies a database.
 class WorldFold {
  public:
   /// What the fold keeps of each surviving world for worlds(): nothing (a

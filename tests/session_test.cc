@@ -380,6 +380,49 @@ TEST(SessionCapsTest, DecomposedMergeCapGuardsCorrelation) {
   EXPECT_EQ(r.status().code(), StatusCode::kUnsupported);
 }
 
+TEST(SessionCapsTest, RepairChoiceCapErrorsNameTheirCap) {
+  const char* kData = R"sql(
+    create table R (K integer, V integer);
+    insert into R values (1,1),(1,2),(2,1),(2,2),(3,1),(3,2),(4,1),(4,2);
+  )sql";
+  auto expect_error = [](Session& session, const std::string& sql,
+                         const std::string& message) {
+    auto r = session.Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kUnsupported) << sql;
+    EXPECT_NE(r.status().message().find(message), std::string::npos)
+        << sql << "\n" << r.status().ToString();
+  };
+  SessionOptions explicit_options;
+  explicit_options.engine = EngineMode::kExplicit;
+  explicit_options.max_explicit_worlds = 8;
+  Session explicit_session(explicit_options);
+  ExecScript(explicit_session, kData);
+  expect_error(explicit_session,
+               "select possible K from R repair by key K;",
+               "explicit world-set would exceed the configured cap of 8 "
+               "worlds; use the decomposed engine");
+
+  SessionOptions decomposed_options;
+  decomposed_options.engine = EngineMode::kDecomposed;
+  decomposed_options.max_merge = 8;
+  Session decomposed_session(decomposed_options);
+  ExecScript(decomposed_session, kData);
+  // Repair over certain data, enumerated because assert correlates it.
+  expect_error(decomposed_session,
+               "select possible K from R repair by key K assert true;",
+               "component merge would exceed 8 alternatives");
+  // Repair over an uncertain source: 2 merged worlds x 16 repairs each.
+  ExecScript(decomposed_session,
+             "create table C as select K, V from R where K = 1 "
+             "repair by key K;");
+  expect_error(decomposed_session,
+               "select possible K from R where exists "
+               "(select * from C where V = 1) repair by key K;",
+               "repair/choice over an uncertain source exceeds the merge cap "
+               "of 8 alternatives");
+}
+
 // MAYBMS_POOL_PAGES must be validated like MAYBMS_THREADS
 // (base/thread_pool.cc): a malformed value is a configuration error the
 // user hears about, never a silent fallback to the default pool size.
