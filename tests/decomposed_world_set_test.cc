@@ -7,9 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "isql/session.h"
+#include "sql/parser.h"
 #include "tests/test_util.h"
 
 namespace maybms::worlds {
@@ -194,6 +198,511 @@ TEST(DecomposedWorldSetTest, CloneIsIndependent) {
   EXPECT_EQ(clone->NumWorlds(), 4u);
   MAYBMS_EXPECT_OK(clone->DropRelation("I"));
   EXPECT_TRUE(session.world_set().HasRelation("I"));
+}
+
+// ---------------------------------------------------------------------------
+// Golden answers of the per-component sources: the single-relation fast
+// path over an existing decomposition and the clean repair/choice product
+// over certain data. Every value is rendered with its type tag and reals
+// as hex floats, so possible/certain/conf are pinned byte for byte —
+// including which spelling survives when Integer 1 and Real 1.0 coincide
+// under Tuple::Compare — and so is the stored component structure.
+// ---------------------------------------------------------------------------
+
+std::string Hex(double d) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%a", d);
+  return buf;
+}
+
+std::string RenderValue(const Value& v) {
+  switch (v.type()) {
+    case DataType::kNull:
+      return "NULL";
+    case DataType::kInteger:
+      return "i" + std::to_string(v.AsInteger());
+    case DataType::kReal:
+      return "r" + Hex(v.AsReal());
+    case DataType::kText:
+      return "'" + v.AsText() + "'";
+    case DataType::kBoolean:
+      return v.AsBoolean() ? "true" : "false";
+  }
+  return "?";
+}
+
+std::string RenderRow(const Tuple& row) {
+  std::string out = "(";
+  for (size_t i = 0; i < row.size(); ++i) {
+    out += (i == 0 ? "" : " ") + RenderValue(row.value(i));
+  }
+  return out + ")";
+}
+
+/// The column header, then one row per line.
+std::string RenderTable(const Table& table) {
+  std::string out = "[";
+  for (const Column& c : table.schema().columns()) {
+    out += " " + c.name + ":" + DataTypeToString(c.type);
+  }
+  out += " ]\n";
+  for (const Tuple& row : table.rows()) out += RenderRow(row) + "\n";
+  return out;
+}
+
+std::string RenderEvaluation(const SelectEvaluation& eval) {
+  if (eval.combined.has_value()) return RenderTable(*eval.combined);
+  std::string out;
+  for (const auto& [p, table] : eval.per_world) {
+    out += "world " + Hex(p) + " " + RenderTable(table);
+  }
+  return out + (eval.truncated ? "truncated\n" : "");
+}
+
+/// A session statement's full answer: the combined table, or each listed
+/// world with its probability, then "truncated" when the listing hit the
+/// display cap.
+std::string Answer(Session& session, const std::string& sql) {
+  QueryResult result = Exec(session, sql);
+  if (result.has_table()) return RenderTable(result.table());
+  std::string out;
+  for (const auto& [p, table] : result.worlds()) {
+    out += "world " + Hex(p) + " " + RenderTable(table);
+  }
+  return out + (result.truncated() ? "truncated\n" : "");
+}
+
+/// The stored decomposition, read through ToSnapshot: the certain core
+/// (the source relation R aside), then every component's alternatives
+/// with their probability and their contributions in key order, empty
+/// contributions included.
+std::string Structure(const DecomposedWorldSet& wsd) {
+  auto snapshot = wsd.ToSnapshot();
+  EXPECT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  if (!snapshot.ok()) return "";
+  std::string out;
+  for (const auto& rel : snapshot->certain) {
+    if (rel.name == "R") continue;
+    out += rel.name + " " + RenderTable(*snapshot->tables[rel.table_index]);
+  }
+  for (size_t c = 0; c < snapshot->components.size(); ++c) {
+    out += "component " + std::to_string(c) + "\n";
+    for (const auto& alt : snapshot->components[c].alternatives) {
+      out += "  alternative " + Hex(alt.probability) + "\n";
+      for (const auto& [rel, tuples] : alt.contributions) {
+        out += "    " + rel + ":";
+        for (const Tuple& row : tuples) out += " " + RenderRow(row);
+        out += "\n";
+      }
+    }
+  }
+  return out;
+}
+
+/// Key groups 1, 2, 4, 5 violate the key (weights 1:3, 1:1, 1:2:4, 1:2);
+/// group 3 is a single tuple. V holds NULLs and inexact reals.
+void LoadGoldenSource(Session& session) {
+  ExecScript(session, R"sql(
+    create table R (K integer, V real, W integer);
+    insert into R values
+      (1, 1, 1), (1, 2.5, 3),
+      (2, null, 1), (2, 4, 1),
+      (3, 1, 2),
+      (4, 0.1, 1), (4, 0.2, 2), (4, 0.3, 4),
+      (5, null, 1), (5, null, 2);
+  )sql");
+}
+
+SessionOptions GoldenOptions() {
+  SessionOptions options = DecomposedOptions();
+  options.max_display_worlds = 5;
+  return options;
+}
+
+// X below is Integer 1 where W = 1 and Real 1.0 elsewhere: the same tuple
+// under Tuple::Compare, spelled differently per alternative.
+constexpr char kX[] = "case when W = 1 then 1 else 1.0 end as X";
+
+TEST(DecomposedGoldenTest, FastPathAnswers) {
+  Session session(GoldenOptions());
+  LoadGoldenSource(session);
+  Exec(session,
+       "create table I as select K, V, W from R repair by key K weight W;");
+  const std::string x = kX;
+  EXPECT_EQ(Answer(session, "select possible K, " + x +
+                                " from I where V is null or V < 3;"),
+            R"([ K:INTEGER X:REAL ]
+(i1 i1)
+(i2 i1)
+(i3 r0x1p+0)
+(i4 i1)
+(i5 i1)
+)");
+  EXPECT_EQ(Answer(session,
+                   "select certain " + x + " from I where K <> 2;"),
+            R"([ X:REAL ]
+(r0x1p+0)
+)");
+  EXPECT_EQ(Answer(session,
+                   "select certain K, V from I where V is null or V > 3;"),
+            R"([ K:INTEGER V:REAL ]
+(i5 NULL)
+)");
+  EXPECT_EQ(Answer(session, "select conf, K, " + x +
+                                " from I where V is null or V > 0.15;"),
+            R"([ K:INTEGER X:REAL conf:REAL ]
+(i1 i1 r0x1p+0)
+(i2 i1 r0x1p+0)
+(i3 r0x1p+0 r0x1p+0)
+(i4 r0x1p+0 r0x1.b6db6db6db6dbp-1)
+(i5 i1 r0x1p+0)
+)");
+  EXPECT_EQ(Answer(session, "select conf, V from I where V < 1;"),
+            R"([ V:REAL conf:REAL ]
+(r0x1.999999999999ap-4 r0x1.249249249249p-3)
+(r0x1.999999999999ap-3 r0x1.2492492492492p-2)
+(r0x1.3333333333333p-2 r0x1.2492492492492p-1)
+)");
+  EXPECT_EQ(Answer(session, "select conf from I where V > 2;"),
+            R"([ conf:REAL ]
+(r0x1.cp-1)
+)");
+  EXPECT_EQ(Answer(session, "select conf from I where V > 0.15 and V < 0.35;"),
+            R"([ conf:REAL ]
+(r0x1.b6db6db6db6dbp-1)
+)");
+  EXPECT_EQ(Answer(session, "select conf from I where V > 100;"),
+            R"([ conf:REAL ]
+(r0x0p+0)
+)");
+  EXPECT_EQ(Answer(session, "select K, V from I where V < 3;"),
+            R"(world 0x1.8618618618618p-8 [ K:INTEGER V:REAL ]
+(i1 r0x1p+0)
+(i3 r0x1p+0)
+(i4 r0x1.999999999999ap-4)
+world 0x1.2492492492492p-6 [ K:INTEGER V:REAL ]
+(i1 r0x1.4p+1)
+(i3 r0x1p+0)
+(i4 r0x1.999999999999ap-4)
+world 0x1.8618618618618p-8 [ K:INTEGER V:REAL ]
+(i1 r0x1p+0)
+(i3 r0x1p+0)
+(i4 r0x1.999999999999ap-4)
+world 0x1.2492492492492p-6 [ K:INTEGER V:REAL ]
+(i1 r0x1.4p+1)
+(i3 r0x1p+0)
+(i4 r0x1.999999999999ap-4)
+world 0x1.8618618618618p-7 [ K:INTEGER V:REAL ]
+(i1 r0x1p+0)
+(i3 r0x1p+0)
+(i4 r0x1.999999999999ap-3)
+truncated
+)");
+  Exec(session, "create table D as select K, " + x + " from I where V < 3;");
+  EXPECT_EQ(Structure(Wsd(session)),
+            R"(D [ K:INTEGER X:REAL ]
+I [ K:INTEGER V:REAL W:INTEGER ]
+component 0
+  alternative 0x1p-2
+    d: (i1 i1)
+    i: (i1 r0x1p+0 i1)
+  alternative 0x1.8p-1
+    d: (i1 r0x1p+0)
+    i: (i1 r0x1.4p+1 i3)
+component 1
+  alternative 0x1p-1
+    d:
+    i: (i2 NULL i1)
+  alternative 0x1p-1
+    d:
+    i: (i2 r0x1p+2 i1)
+component 2
+  alternative 0x1p+0
+    d: (i3 r0x1p+0)
+    i: (i3 r0x1p+0 i2)
+component 3
+  alternative 0x1.2492492492492p-3
+    d: (i4 i1)
+    i: (i4 r0x1.999999999999ap-4 i1)
+  alternative 0x1.2492492492492p-2
+    d: (i4 r0x1p+0)
+    i: (i4 r0x1.999999999999ap-3 i2)
+  alternative 0x1.2492492492492p-1
+    d: (i4 r0x1p+0)
+    i: (i4 r0x1.3333333333333p-2 i4)
+component 4
+  alternative 0x1.5555555555555p-2
+    d:
+    i: (i5 NULL i1)
+  alternative 0x1.5555555555555p-1
+    d:
+    i: (i5 NULL i2)
+)");
+  EXPECT_EQ(Answer(session, "select possible X from D;"),
+            R"([ X:REAL ]
+(i1)
+)");
+}
+
+TEST(DecomposedGoldenTest, RepairAndChoiceProductAnswers) {
+  Session session(GoldenOptions());
+  LoadGoldenSource(session);
+  const std::string x = kX;
+  const std::string repair = " repair by key K weight W;";
+  EXPECT_EQ(Answer(session, "select possible K, " + x + " from R" + repair),
+            R"([ K:INTEGER X:REAL ]
+(i1 i1)
+(i2 i1)
+(i3 r0x1p+0)
+(i4 i1)
+(i5 i1)
+)");
+  EXPECT_EQ(Answer(session,
+                   "select certain " + x + " from R where K <> 2" + repair),
+            R"([ X:REAL ]
+(r0x1p+0)
+)");
+  EXPECT_EQ(Answer(session, "select conf, K, V from R" + repair),
+            R"([ K:INTEGER V:REAL conf:REAL ]
+(i1 r0x1p+0 r0x1p-2)
+(i1 r0x1.4p+1 r0x1.8p-1)
+(i2 NULL r0x1p-1)
+(i2 r0x1p+2 r0x1p-1)
+(i3 r0x1p+0 r0x1p+0)
+(i4 r0x1.999999999999ap-4 r0x1.249249249249p-3)
+(i4 r0x1.999999999999ap-3 r0x1.2492492492492p-2)
+(i4 r0x1.3333333333333p-2 r0x1.2492492492492p-1)
+(i5 NULL r0x1p+0)
+)");
+  EXPECT_EQ(Answer(session, "select conf from R where V > 2" + repair),
+            R"([ conf:REAL ]
+(r0x1p+0)
+)");
+  EXPECT_EQ(Answer(session, "select conf, W from R choice of W;"),
+            R"([ W:INTEGER conf:REAL ]
+(i1 r0x1p-2)
+(i2 r0x1p-2)
+(i3 r0x1p-2)
+(i4 r0x1p-2)
+)");
+  EXPECT_EQ(Answer(session, "select conf from R choice of W;"),
+            R"([ conf:REAL ]
+(r0x1p+0)
+)");
+  EXPECT_EQ(Answer(session, "select possible V from R where K = 2 or K = 5 "
+                            "choice of W;"),
+            R"([ V:REAL ]
+(NULL)
+(r0x1p+2)
+)");
+  EXPECT_EQ(Answer(session, "select certain V from R where K = 5 choice of W;"),
+            R"([ V:REAL ]
+(NULL)
+)");
+  EXPECT_EQ(Answer(session, "select K, V from R" + repair),
+            R"(world 0x1.8618618618618p-8 [ K:INTEGER V:REAL ]
+(i1 r0x1p+0)
+(i2 NULL)
+(i3 r0x1p+0)
+(i4 r0x1.999999999999ap-4)
+(i5 NULL)
+world 0x1.2492492492492p-6 [ K:INTEGER V:REAL ]
+(i1 r0x1.4p+1)
+(i2 NULL)
+(i3 r0x1p+0)
+(i4 r0x1.999999999999ap-4)
+(i5 NULL)
+world 0x1.8618618618618p-8 [ K:INTEGER V:REAL ]
+(i1 r0x1p+0)
+(i2 r0x1p+2)
+(i3 r0x1p+0)
+(i4 r0x1.999999999999ap-4)
+(i5 NULL)
+world 0x1.2492492492492p-6 [ K:INTEGER V:REAL ]
+(i1 r0x1.4p+1)
+(i2 r0x1p+2)
+(i3 r0x1p+0)
+(i4 r0x1.999999999999ap-4)
+(i5 NULL)
+world 0x1.8618618618618p-7 [ K:INTEGER V:REAL ]
+(i1 r0x1p+0)
+(i2 NULL)
+(i3 r0x1p+0)
+(i4 r0x1.999999999999ap-3)
+(i5 NULL)
+truncated
+)");
+  Exec(session, "create table J as select K, " + x + " from R" + repair);
+  Exec(session, "create table Q as select K, V from R choice of W;");
+  EXPECT_EQ(Structure(Wsd(session)),
+            R"(J [ K:INTEGER X:REAL ]
+Q [ K:INTEGER V:REAL ]
+component 0
+  alternative 0x1p-2
+    j: (i1 i1)
+  alternative 0x1.8p-1
+    j: (i1 r0x1p+0)
+component 1
+  alternative 0x1p-1
+    j: (i2 i1)
+  alternative 0x1p-1
+    j: (i2 i1)
+component 2
+  alternative 0x1p+0
+    j: (i3 r0x1p+0)
+component 3
+  alternative 0x1.2492492492492p-3
+    j: (i4 i1)
+  alternative 0x1.2492492492492p-2
+    j: (i4 r0x1p+0)
+  alternative 0x1.2492492492492p-1
+    j: (i4 r0x1p+0)
+component 4
+  alternative 0x1.5555555555555p-2
+    j: (i5 i1)
+  alternative 0x1.5555555555555p-1
+    j: (i5 r0x1p+0)
+component 5
+  alternative 0x1p-2
+    q: (i1 r0x1p+0) (i2 NULL) (i2 r0x1p+2) (i4 r0x1.999999999999ap-4) (i5 NULL)
+  alternative 0x1p-2
+    q: (i3 r0x1p+0) (i4 r0x1.999999999999ap-3) (i5 NULL)
+  alternative 0x1p-2
+    q: (i1 r0x1.4p+1)
+  alternative 0x1p-2
+    q: (i4 r0x1.3333333333333p-2)
+)");
+}
+
+// A decomposition no I-SQL statement builds today, restored from a
+// snapshot: relation I has certain rows as well as component
+// contributions, and one alternative carries no entry for I at all.
+TEST(DecomposedGoldenTest, CertainRowsAndMissingContribution) {
+  Session session(GoldenOptions());
+  LoadGoldenSource(session);
+  Exec(session,
+       "create table I as select K, V, W from R repair by key K weight W;");
+  auto snapshot = Wsd(session).ToSnapshot();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  for (const auto& rel : snapshot->certain) {
+    if (rel.name != "I") continue;
+    Table core(snapshot->tables[rel.table_index]->schema());
+    core.AppendUnchecked(Tuple({Value::Integer(6), Value::Real(0.5),
+                                Value::Integer(1)}));
+    core.AppendUnchecked(Tuple({Value::Integer(1), Value::Real(1.0),
+                                Value::Integer(3)}));
+    snapshot->tables[rel.table_index] =
+        std::make_shared<const Table>(std::move(core));
+  }
+  ASSERT_FALSE(snapshot->components.empty());
+  snapshot->components[0].alternatives[0].contributions.clear();
+
+  DecomposedWorldSet wsd;
+  MAYBMS_ASSERT_OK(wsd.FromSnapshot(*snapshot));
+  auto answer = [&wsd](const std::string& sql) -> std::string {
+    auto parsed = sql::Parser::ParseStatement(sql);
+    EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+    if (!parsed.ok()) return "";
+    const auto& stmt = static_cast<const sql::SelectStatement&>(**parsed);
+    auto eval = wsd.EvaluateSelect(stmt, /*max_worlds=*/5);
+    EXPECT_TRUE(eval.ok()) << sql << ": " << eval.status().ToString();
+    return eval.ok() ? RenderEvaluation(*eval) : "";
+  };
+  const std::string x = kX;
+  EXPECT_EQ(answer("select possible K, " + x + " from I;"),
+            R"([ K:INTEGER X:REAL ]
+(i1 r0x1p+0)
+(i2 i1)
+(i3 r0x1p+0)
+(i4 i1)
+(i5 i1)
+(i6 i1)
+)");
+  EXPECT_EQ(answer("select certain " + x + " from I;"),
+            R"([ X:REAL ]
+(i1)
+)");
+  EXPECT_EQ(answer("select conf, K, " + x + " from I;"),
+            R"([ K:INTEGER X:REAL conf:REAL ]
+(i1 r0x1p+0 r0x1p+0)
+(i2 i1 r0x1p+0)
+(i3 r0x1p+0 r0x1p+0)
+(i4 i1 r0x1p+0)
+(i5 i1 r0x1p+0)
+(i6 i1 r0x1p+0)
+)");
+  EXPECT_EQ(answer("select conf from I where V < 1;"),
+            R"([ conf:REAL ]
+(r0x1p+0)
+)");
+  EXPECT_EQ(answer("select K, V from I where K < 3;"),
+            R"(world 0x1.8618618618618p-8 [ K:INTEGER V:REAL ]
+(i1 r0x1p+0)
+(i2 NULL)
+world 0x1.2492492492492p-6 [ K:INTEGER V:REAL ]
+(i1 r0x1p+0)
+(i1 r0x1.4p+1)
+(i2 NULL)
+world 0x1.8618618618618p-8 [ K:INTEGER V:REAL ]
+(i1 r0x1p+0)
+(i2 r0x1p+2)
+world 0x1.2492492492492p-6 [ K:INTEGER V:REAL ]
+(i1 r0x1p+0)
+(i1 r0x1.4p+1)
+(i2 r0x1p+2)
+world 0x1.8618618618618p-7 [ K:INTEGER V:REAL ]
+(i1 r0x1p+0)
+(i2 NULL)
+truncated
+)");
+
+  auto parsed = sql::Parser::ParseStatement(
+      "select K, " + x + " from I where V is null or V < 3;");
+  ASSERT_TRUE(parsed.ok());
+  MAYBMS_ASSERT_OK(wsd.MaterializeSelect(
+      "D", static_cast<const sql::SelectStatement&>(**parsed)));
+  EXPECT_EQ(Structure(wsd),
+            R"(D [ K:INTEGER X:REAL ]
+(i6 i1)
+(i1 r0x1p+0)
+I [ K:INTEGER V:REAL W:INTEGER ]
+(i6 r0x1p-1 i1)
+(i1 r0x1p+0 i3)
+component 0
+  alternative 0x1p-2
+    d:
+  alternative 0x1.8p-1
+    d: (i1 r0x1p+0)
+    i: (i1 r0x1.4p+1 i3)
+component 1
+  alternative 0x1p-1
+    d: (i2 i1)
+    i: (i2 NULL i1)
+  alternative 0x1p-1
+    d:
+    i: (i2 r0x1p+2 i1)
+component 2
+  alternative 0x1p+0
+    d: (i3 r0x1p+0)
+    i: (i3 r0x1p+0 i2)
+component 3
+  alternative 0x1.2492492492492p-3
+    d: (i4 i1)
+    i: (i4 r0x1.999999999999ap-4 i1)
+  alternative 0x1.2492492492492p-2
+    d: (i4 r0x1p+0)
+    i: (i4 r0x1.999999999999ap-3 i2)
+  alternative 0x1.2492492492492p-1
+    d: (i4 r0x1p+0)
+    i: (i4 r0x1.3333333333333p-2 i4)
+component 4
+  alternative 0x1.5555555555555p-2
+    d: (i5 i1)
+    i: (i5 NULL i1)
+  alternative 0x1.5555555555555p-1
+    d: (i5 r0x1p+0)
+    i: (i5 NULL i2)
+)");
 }
 
 }  // namespace
