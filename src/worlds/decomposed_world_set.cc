@@ -24,63 +24,17 @@ namespace maybms::worlds {
 
 namespace {
 
-/// Key under which pipeline results are stored in new components before a
-/// materialization assigns the real relation name.
-const char kResultKey[] = "__result";
-
 bool ContainsSubquery(const sql::Expr& expr) {
-  switch (expr.kind) {
-    case sql::ExprKind::kExists:
-    case sql::ExprKind::kInSubquery:
-    case sql::ExprKind::kScalarSubquery:
-      return true;
-    case sql::ExprKind::kLiteral:
-    case sql::ExprKind::kColumnRef:
-      return false;
-    case sql::ExprKind::kUnary:
-      return ContainsSubquery(
-          *static_cast<const sql::UnaryExpr&>(expr).operand);
-    case sql::ExprKind::kBinary: {
-      const auto& b = static_cast<const sql::BinaryExpr&>(expr);
-      return ContainsSubquery(*b.left) || ContainsSubquery(*b.right);
-    }
-    case sql::ExprKind::kFunctionCall: {
-      const auto& f = static_cast<const sql::FunctionCallExpr&>(expr);
-      for (const auto& a : f.args) {
-        if (ContainsSubquery(*a)) return true;
-      }
-      return false;
-    }
-    case sql::ExprKind::kIsNull:
-      return ContainsSubquery(
-          *static_cast<const sql::IsNullExpr&>(expr).operand);
-    case sql::ExprKind::kInList: {
-      const auto& in = static_cast<const sql::InListExpr&>(expr);
-      if (ContainsSubquery(*in.operand)) return true;
-      for (const auto& i : in.items) {
-        if (ContainsSubquery(*i)) return true;
-      }
-      return false;
-    }
-    case sql::ExprKind::kBetween: {
-      const auto& b = static_cast<const sql::BetweenExpr&>(expr);
-      return ContainsSubquery(*b.operand) || ContainsSubquery(*b.low) ||
-             ContainsSubquery(*b.high);
-    }
-    case sql::ExprKind::kCase: {
-      const auto& c = static_cast<const sql::CaseExpr&>(expr);
-      for (const auto& w : c.whens) {
-        if (ContainsSubquery(*w.condition) || ContainsSubquery(*w.result)) {
-          return true;
-        }
-      }
-      return c.else_result && ContainsSubquery(*c.else_result);
-    }
-    case sql::ExprKind::kCast:
-      return ContainsSubquery(
-          *static_cast<const sql::CastExpr&>(expr).operand);
+  if (expr.kind == sql::ExprKind::kExists ||
+      expr.kind == sql::ExprKind::kInSubquery ||
+      expr.kind == sql::ExprKind::kScalarSubquery) {
+    return true;
   }
-  return false;
+  bool found = false;
+  engine::ForEachChildExpr(expr, [&found](const sql::Expr& child) {
+    if (!found) found = ContainsSubquery(child);
+  });
+  return found;
 }
 
 /// Filters `rows` (over the projection's qualified source schema) by the
@@ -88,7 +42,7 @@ bool ContainsSubquery(const sql::Expr& expr) {
 /// list. The fast path guarantees there are no subqueries, so `db` is only
 /// a formality for the evaluation context; `where_plans` shares what
 /// little subquery analysis there is across the per-alternative calls.
-Result<std::vector<Tuple>> FilterProjectRows(
+Result<Table> FilterProjectRows(
     const sql::SelectStatement& core, const Database& db, const Schema& schema,
     const std::vector<Tuple>& rows, engine::PreparedProjection& projection,
     engine::SubqueryPlanCache* where_plans) {
@@ -105,11 +59,143 @@ Result<std::vector<Tuple>> FilterProjectRows(
     }
     kept.push_back(row);
   }
-  MAYBMS_ASSIGN_OR_RETURN(Table projected, projection.Execute(db, kept));
-  return std::move(*projected.mutable_rows());
+  return projection.Execute(db, kept);
+}
+
+/// One independent factor of a decomposed answer: the (probability,
+/// answer) pairs of its mutually exclusive alternatives, and the existing
+/// component it mirrors (the fast path) or none (a component a
+/// repair/choice creates).
+struct Factor {
+  std::optional<size_t> component;
+  std::vector<std::pair<double, Table>> alternatives;
+};
+
+/// The answer of a per-component source: certain rows plus independent
+/// factors. Each world's answer is the certain rows plus one alternative's
+/// answer from every factor.
+struct DecomposedResult {
+  Table certain;
+  std::vector<Factor> factors;
+};
+
+/// possible/certain/conf of a decomposed answer without enumerating
+/// worlds: one QuantifierCombiner per factor over its alternatives, then
+/// the union with the certain rows. A row's conf is 1 (certain) or
+/// 1 − ∏_f (1 − p_f(row)) over the factors' conf answers, multiplied in
+/// factor order. Of rows that coincide under Tuple::Compare (Integer 1,
+/// Real 1.0) the union keeps the first: the certain rows', then the
+/// factors' in order.
+Result<Table> CombineFactors(sql::WorldQuantifier quantifier,
+                             const DecomposedResult& dec) {
+  const bool conf = quantifier == sql::WorldQuantifier::kConf;
+  const size_t width = dec.certain.schema().num_columns();
+  // (row, certain): the certain rows, then every factor's answer in
+  // factor order. Under conf, column `width` holds the row's p_f (1 for
+  // a certain row).
+  std::vector<std::pair<Tuple, bool>> rows;
+  for (Tuple row : dec.certain.rows()) {
+    if (conf) row.Append(Value::Real(1.0));
+    rows.emplace_back(std::move(row), true);
+  }
+  for (const Factor& factor : dec.factors) {
+    MAYBMS_RETURN_NOT_OK(base::GovernPoll());
+    // A factor whose alternatives all answer nothing adds no row.
+    if (std::all_of(factor.alternatives.begin(), factor.alternatives.end(),
+                    [](const auto& alt) { return alt.second.empty(); })) {
+      continue;
+    }
+    MAYBMS_ASSIGN_OR_RETURN(QuantifierCombiner combiner,
+                            QuantifierCombiner::Create(quantifier));
+    if (quantifier == sql::WorldQuantifier::kCertain) {
+      // Fed last to first: a certain row keeps the spelling of the last
+      // alternative's first occurrence.
+      for (auto it = factor.alternatives.rbegin();
+           it != factor.alternatives.rend(); ++it) {
+        combiner.Feed(it->first, it->second);
+      }
+    } else {
+      for (const auto& [p, answer] : factor.alternatives) {
+        combiner.Feed(p, answer);
+      }
+    }
+    MAYBMS_ASSIGN_OR_RETURN(Table answer, combiner.Finish(1.0));
+    for (Tuple& row : *answer.mutable_rows()) {
+      rows.emplace_back(std::move(row), false);
+    }
+  }
+  // A 0-column conf answer is one row, conf 0 when no world has a row.
+  if (conf && width == 0 && rows.empty()) {
+    rows.emplace_back(Tuple({Value::Real(0.0)}), false);
+  }
+
+  // Stable, so each run of equal rows starts with the row to keep and
+  // lists the factors' p_f in factor order.
+  auto less = [width](const std::pair<Tuple, bool>& a,
+                      const std::pair<Tuple, bool>& b) {
+    for (size_t i = 0; i < width; ++i) {
+      int c = a.first.value(i).TotalOrderCompare(b.first.value(i));
+      if (c != 0) return c < 0;
+    }
+    return false;
+  };
+  std::stable_sort(rows.begin(), rows.end(), less);
+  Schema schema = dec.certain.schema();
+  if (conf) schema.AddColumn(Column("conf", DataType::kReal));
+  Table result(std::move(schema));
+  for (size_t i = 0, j = 0; i < rows.size(); i = j) {
+    double not_prob = 1.0;
+    for (j = i; j < rows.size() && !less(rows[i], rows[j]); ++j) {
+      if (conf) not_prob *= 1.0 - rows[j].first.value(width).AsReal();
+    }
+    Tuple& row = rows[i].first;
+    if (conf && !rows[i].second) row.value(width) = Value::Real(1.0 - not_prob);
+    result.AppendUnchecked(std::move(row));
+  }
+  return result;
+}
+
+/// A plain SELECT's per-world listing of a decomposed answer: the product
+/// of its factors in odometer order (no other component changes the
+/// answer), capped at `max_worlds`.
+Status ListFactorWorlds(const DecomposedResult& dec, size_t max_worlds,
+                        SelectEvaluation* eval) {
+  const std::vector<Factor>& factors = dec.factors;
+  std::vector<size_t> pick(factors.size(), 0);
+  while (true) {
+    if (eval->per_world.size() >= max_worlds) {
+      eval->truncated = true;
+      break;
+    }
+    MAYBMS_RETURN_NOT_OK(base::GovernChargeWorlds(1));
+    double prob = 1.0;
+    Table world = dec.certain;
+    for (size_t f = 0; f < factors.size(); ++f) {
+      const auto& [p, answer] = factors[f].alternatives[pick[f]];
+      prob *= p;
+      for (const Tuple& t : answer.rows()) world.AppendUnchecked(t);
+    }
+    eval->per_world.emplace_back(prob, std::move(world));
+
+    size_t f = 0;
+    for (; f < factors.size(); ++f) {
+      if (++pick[f] < factors[f].alternatives.size()) break;
+      pick[f] = 0;
+    }
+    if (f == factors.size()) break;
+  }
+  return Status::OK();
 }
 
 }  // namespace
+
+struct DecomposedWorldSet::PipelineOutput {
+  SelectEvaluation eval;                       // combined / groups
+  std::optional<DecomposedResult> decomposed;  // per-component sources
+  bool certain = false;  // the fold ran over the certain core alone
+  Component source;      // else: the local worlds the fold derived from
+  std::vector<size_t> replaced;  // components merged into `source`
+};
 
 DecomposedWorldSet::DecomposedWorldSet(size_t max_merge, size_t threads)
     : max_merge_(max_merge), threads_(threads) {}
@@ -450,7 +536,6 @@ bool DecomposedWorldSet::QualifiesForFastPath(
 
 Result<DecomposedWorldSet::PipelineOutput> DecomposedWorldSet::RunPipeline(
     const sql::SelectStatement& stmt, WorldFold* fold) const {
-  std::unique_ptr<sql::SelectStatement> core = StripWorldOps(stmt);
   std::set<std::string> referenced;
   CollectReferencedRelations(stmt, &referenced);
   std::vector<size_t> relevant = RelevantComponents(referenced);
@@ -463,6 +548,7 @@ Result<DecomposedWorldSet::PipelineOutput> DecomposedWorldSet::RunPipeline(
   PipelineOutput out;
   if (!whole_worlds && fans_out && relevant.empty()) {
     // Plan the repair/choice source pipeline and the projection once.
+    std::unique_ptr<sql::SelectStatement> core = StripWorldOps(stmt);
     MAYBMS_ASSIGN_OR_RETURN(engine::PreparedFromWhere source_plan,
                             engine::PreparedFromWhere::Prepare(stmt, certain_));
     MAYBMS_ASSIGN_OR_RETURN(
@@ -479,8 +565,7 @@ Result<DecomposedWorldSet::PipelineOutput> DecomposedWorldSet::RunPipeline(
     } else {
       MAYBMS_ASSIGN_OR_RETURN(blocks, ChoicePartition(source, *stmt.choice));
     }
-    DecomposedResult result;
-    result.schema = projection.output_schema();
+    DecomposedResult result{Table(projection.output_schema()), {}};
     for (const PartitionBlock& block : blocks) {
       // Each block becomes one component whose alternatives are this
       // block's choices: charge them as the decomposition's unit of
@@ -488,7 +573,7 @@ Result<DecomposedWorldSet::PipelineOutput> DecomposedWorldSet::RunPipeline(
       // the decomposed representation IS the O(n·g) compression).
       MAYBMS_RETURN_NOT_OK(
           base::GovernChargeWorlds(block.choices.size()));
-      Component comp;
+      Factor factor;
       for (const WeightedChoice& choice : block.choices) {
         std::vector<Tuple> chosen;
         chosen.reserve(choice.row_indices.size());
@@ -498,18 +583,17 @@ Result<DecomposedWorldSet::PipelineOutput> DecomposedWorldSet::RunPipeline(
         MAYBMS_RETURN_NOT_OK(
             base::GovernChargeBytes(base::EstimateTableBytes(
                 projected.num_rows(), projected.schema().num_columns())));
-        Alternative alt;
-        alt.probability = choice.probability;
-        alt.tuples[kResultKey] = projected.rows();
-        comp.alternatives.push_back(std::move(alt));
+        factor.alternatives.emplace_back(choice.probability,
+                                         std::move(projected));
       }
-      result.new_components.push_back(std::move(comp));
+      result.factors.push_back(std::move(factor));
     }
     out.decomposed = std::move(result);
   } else if (!whole_worlds && !fans_out && !relevant.empty() &&
              QualifiesForFastPath(stmt, referenced)) {
     // Fast path: push selection/projection into each alternative — no
     // component merging, component structure preserved.
+    std::unique_ptr<sql::SelectStatement> core = StripWorldOps(stmt);
     const std::string rel = AsciiToLower(stmt.from[0].table_name);
     MAYBMS_ASSIGN_OR_RETURN(const Table* base, certain_.GetRelation(rel));
     Schema qualified =
@@ -523,38 +607,39 @@ Result<DecomposedWorldSet::PipelineOutput> DecomposedWorldSet::RunPipeline(
     engine::SubqueryPlanCache where_plans;
 
     DecomposedResult result;
-    result.schema = projection.output_schema();
     MAYBMS_ASSIGN_OR_RETURN(
-        result.certain_rows,
+        result.certain,
         FilterProjectRows(*core, certain_, qualified, base->rows(), projection,
                           &where_plans));
-    result.component_indices = relevant;
     for (size_t idx : relevant) {
-      std::vector<std::vector<Tuple>> per_alt;
-      per_alt.reserve(components_[idx].size());
+      Factor factor{idx, {}};
+      factor.alternatives.reserve(components_[idx].size());
       for (const Alternative& alt : components_[idx].alternatives) {
         MAYBMS_RETURN_NOT_OK(base::GovernPoll());
         const std::vector<Tuple>* rows = alt.TuplesFor(rel);
-        std::vector<Tuple> projected;
-        if (rows != nullptr) {
+        Table projected;
+        if (rows == nullptr) {
+          projected = Table(projection.output_schema());
+        } else {
           MAYBMS_ASSIGN_OR_RETURN(
               projected, FilterProjectRows(*core, certain_, qualified, *rows,
                                            projection, &where_plans));
           MAYBMS_RETURN_NOT_OK(
               base::GovernChargeBytes(base::EstimateTableBytes(
-                  projected.size(), result.schema.num_columns())));
+                  projected.num_rows(), projected.schema().num_columns())));
         }
-        per_alt.push_back(std::move(projected));
+        factor.alternatives.emplace_back(alt.probability,
+                                         std::move(projected));
       }
-      result.contributions.push_back(std::move(per_alt));
+      result.factors.push_back(std::move(factor));
     }
     out.decomposed = std::move(result);
   }
   if (out.decomposed.has_value()) {
     if (stmt.quantifier != sql::WorldQuantifier::kNone) {
-      MAYBMS_ASSIGN_OR_RETURN(
-          out.eval.combined,
-          CombineComponents(stmt.quantifier, *out.decomposed));
+      MAYBMS_ASSIGN_OR_RETURN(out.eval.combined,
+                              CombineFactors(stmt.quantifier,
+                                             *out.decomposed));
     }
     return out;
   }
@@ -562,8 +647,8 @@ Result<DecomposedWorldSet::PipelineOutput> DecomposedWorldSet::RunPipeline(
   if (!fans_out && relevant.empty()) {
     // Entirely certain input: one world, one evaluation.
     out.certain = true;
-    MAYBMS_ASSIGN_OR_RETURN(Table result,
-                            engine::ExecuteSelect(*core, certain_));
+    MAYBMS_ASSIGN_OR_RETURN(
+        Table result, engine::ExecuteSelect(*StripWorldOps(stmt), certain_));
     fold->Begin(1);
     MAYBMS_RETURN_NOT_OK(
         fold->Feed(0, 0, 0, 0, 1.0, certain_, std::move(result)));
@@ -598,114 +683,6 @@ Result<DecomposedWorldSet::PipelineOutput> DecomposedWorldSet::RunPipeline(
   return out;
 }
 
-Result<Table> DecomposedWorldSet::CombineComponents(
-    sql::WorldQuantifier quantifier, const DecomposedResult& dec) const {
-  // View: per component, (probability, rows) per alternative.
-  struct ContribView {
-    double probability;
-    const std::vector<Tuple>* rows;
-  };
-  std::vector<std::vector<ContribView>> views;
-  for (size_t k = 0; k < dec.component_indices.size(); ++k) {
-    const Component& comp = components_[dec.component_indices[k]];
-    std::vector<ContribView> view;
-    for (size_t j = 0; j < comp.size(); ++j) {
-      view.push_back(ContribView{comp.alternatives[j].probability,
-                                 &dec.contributions[k][j]});
-    }
-    views.push_back(std::move(view));
-  }
-  static const std::vector<Tuple>* const kNoRows = new std::vector<Tuple>();
-  for (const Component& comp : dec.new_components) {
-    std::vector<ContribView> view;
-    for (const Alternative& alt : comp.alternatives) {
-      const std::vector<Tuple>* rows = alt.TuplesFor(kResultKey);
-      view.push_back(
-          ContribView{alt.probability, rows != nullptr ? rows : kNoRows});
-    }
-    views.push_back(std::move(view));
-  }
-
-  if (quantifier == sql::WorldQuantifier::kPossible) {
-    Table result(dec.schema);
-    for (const Tuple& t : dec.certain_rows) result.AppendUnchecked(t);
-    for (const auto& view : views) {
-      MAYBMS_RETURN_NOT_OK(base::GovernPoll());
-      for (const ContribView& cv : view) {
-        for (const Tuple& t : *cv.rows) result.AppendUnchecked(t);
-      }
-    }
-    result.DeduplicateRows();
-    return result;
-  } else if (quantifier == sql::WorldQuantifier::kCertain) {
-    // t is certain iff it is in the certain part or some component
-    // yields it in every alternative.
-    Table result(dec.schema);
-    std::set<Tuple> emitted;
-    for (const Tuple& t : dec.certain_rows) emitted.insert(t);
-    for (const auto& view : views) {
-      MAYBMS_RETURN_NOT_OK(base::GovernPoll());
-      if (view.empty()) continue;
-      std::set<Tuple> candidates(view[0].rows->begin(),
-                                 view[0].rows->end());
-      for (size_t j = 1; j < view.size() && !candidates.empty(); ++j) {
-        std::set<Tuple> next;
-        for (const Tuple& t : *view[j].rows) {
-          if (candidates.count(t)) next.insert(t);
-        }
-        candidates = std::move(next);
-      }
-      emitted.insert(candidates.begin(), candidates.end());
-    }
-    for (const Tuple& t : emitted) result.AppendUnchecked(t);
-    return result;
-  } else {  // conf — closed form 1 - prod_c (1 - p_c(t)).
-    std::map<Tuple, double> not_prob;  // t -> prod (1 - p_c(t))
-    std::set<Tuple> certain_set(dec.certain_rows.begin(),
-                                dec.certain_rows.end());
-    for (const auto& view : views) {
-      MAYBMS_RETURN_NOT_OK(base::GovernPoll());
-      std::map<Tuple, double> p_c;
-      for (const ContribView& cv : view) {
-        std::set<Tuple> distinct(cv.rows->begin(), cv.rows->end());
-        for (const Tuple& t : distinct) p_c[t] += cv.probability;
-      }
-      for (const auto& [t, p] : p_c) {
-        auto [it, inserted] = not_prob.emplace(t, 1.0);
-        it->second *= (1.0 - p);
-      }
-    }
-    bool zero_ary = dec.schema.num_columns() == 0;
-    if (zero_ary) {
-      double conf = certain_set.empty()
-                        ? (not_prob.empty() ? 0.0
-                                            : 1.0 - not_prob.begin()->second)
-                        : 1.0;
-      Schema schema;
-      schema.AddColumn(Column("conf", DataType::kReal));
-      Table result(std::move(schema));
-      result.AppendUnchecked(Tuple({Value::Real(conf)}));
-      return result;
-    } else {
-      Schema schema = dec.schema;
-      schema.AddColumn(Column("conf", DataType::kReal));
-      Table result(std::move(schema));
-      std::map<Tuple, double> conf;
-      for (const Tuple& t : certain_set) conf[t] = 1.0;
-      for (const auto& [t, np] : not_prob) {
-        if (certain_set.count(t)) continue;
-        conf[t] = 1.0 - np;
-      }
-      for (const auto& [t, p] : conf) {
-        Tuple extended = t;
-        extended.Append(Value::Real(p));
-        result.AppendUnchecked(std::move(extended));
-      }
-      return result;
-    }
-  }
-}
-
 Result<SelectEvaluation> DecomposedWorldSet::EvaluateSelect(
     const sql::SelectStatement& stmt, size_t max_worlds) const {
   MAYBMS_ASSIGN_OR_RETURN(WorldFold fold,
@@ -714,62 +691,9 @@ Result<SelectEvaluation> DecomposedWorldSet::EvaluateSelect(
   SelectEvaluation eval = std::move(out.eval);
   if (!out.decomposed.has_value()) {
     MAYBMS_RETURN_NOT_OK(fold.ListWorlds(max_worlds, &eval));
-    return eval;
-  }
-  if (eval.combined.has_value()) return eval;
-
-  // Decomposed result: enumerate the product of the involved components
-  // only (all other components leave the answer unchanged).
-  const DecomposedResult& dec = *out.decomposed;
-  struct Involved {
-    std::vector<double> probs;
-    std::vector<const std::vector<Tuple>*> rows;
-  };
-  std::vector<Involved> involved;
-  for (size_t k = 0; k < dec.component_indices.size(); ++k) {
-    const Component& comp = components_[dec.component_indices[k]];
-    Involved inv;
-    for (size_t j = 0; j < comp.size(); ++j) {
-      inv.probs.push_back(comp.alternatives[j].probability);
-      inv.rows.push_back(&dec.contributions[k][j]);
-    }
-    involved.push_back(std::move(inv));
-  }
-  static const std::vector<Tuple>* const kNoRows = new std::vector<Tuple>();
-  for (const Component& comp : dec.new_components) {
-    Involved inv;
-    for (const Alternative& alt : comp.alternatives) {
-      inv.probs.push_back(alt.probability);
-      const std::vector<Tuple>* rows = alt.TuplesFor(kResultKey);
-      inv.rows.push_back(rows != nullptr ? rows : kNoRows);
-    }
-    involved.push_back(std::move(inv));
-  }
-
-  std::vector<size_t> pick(involved.size(), 0);
-  while (true) {
-    if (eval.per_world.size() >= max_worlds) {
-      eval.truncated = true;
-      break;
-    }
-    MAYBMS_RETURN_NOT_OK(base::GovernChargeWorlds(1));
-    double prob = 1.0;
-    Table result(dec.schema);
-    for (const Tuple& t : dec.certain_rows) result.AppendUnchecked(t);
-    for (size_t k = 0; k < involved.size(); ++k) {
-      prob *= involved[k].probs[pick[k]];
-      for (const Tuple& t : *involved[k].rows[pick[k]]) {
-        result.AppendUnchecked(t);
-      }
-    }
-    eval.per_world.emplace_back(prob, std::move(result));
-
-    size_t k = 0;
-    for (; k < involved.size(); ++k) {
-      if (++pick[k] < involved[k].probs.size()) break;
-      pick[k] = 0;
-    }
-    if (k == involved.size()) break;
+  } else if (!eval.combined.has_value()) {
+    MAYBMS_RETURN_NOT_OK(
+        ListFactorWorlds(*out.decomposed, max_worlds, &eval));
   }
   return eval;
 }
@@ -825,27 +749,23 @@ Status DecomposedWorldSet::MaterializeSelect(const std::string& name,
     return Status::OK();
   }
 
-  // Decomposed result: attach contributions in place (fast path) and/or
-  // append the new repair/choice components.
+  // Decomposed result: every factor's alternatives store their answers
+  // under the new name, in the component the factor mirrors or in a new
+  // one appended for it.
   DecomposedResult& dec = *out.decomposed;
-  certain_.PutRelation(name, Table(dec.schema, std::move(dec.certain_rows)));
-  for (size_t k = 0; k < dec.component_indices.size(); ++k) {
-    Component& comp = components_[dec.component_indices[k]];
-    for (size_t j = 0; j < comp.size(); ++j) {
-      comp.alternatives[j].tuples[lower] = std::move(dec.contributions[k][j]);
+  certain_.PutRelation(name, std::move(dec.certain));
+  for (Factor& factor : dec.factors) {
+    if (!factor.component.has_value()) {
+      factor.component = components_.size();
+      components_.emplace_back().alternatives.resize(
+          factor.alternatives.size());
     }
-  }
-  for (Component& comp : dec.new_components) {
-    for (Alternative& alt : comp.alternatives) {
-      auto it = alt.tuples.find(kResultKey);
-      if (it != alt.tuples.end()) {
-        alt.tuples[lower] = std::move(it->second);
-        alt.tuples.erase(kResultKey);
-      } else {
-        alt.tuples[lower] = {};
-      }
+    Component& comp = components_[*factor.component];
+    for (size_t j = 0; j < factor.alternatives.size(); ++j) {
+      auto& [probability, answer] = factor.alternatives[j];
+      comp.alternatives[j].probability = probability;
+      comp.alternatives[j].tuples[lower] = std::move(*answer.mutable_rows());
     }
-    components_.push_back(std::move(comp));
   }
   return Status::OK();
 }

@@ -31,7 +31,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,15 +50,20 @@ namespace maybms::worlds {
 /// ICDE'07 paper's "10^10^6 worlds" point.
 ///
 /// Query processing avoids world enumeration wherever the paper's
-/// operations allow:
+/// operations allow. Two per-component sources answer without merging:
 ///  * selections/projections over one uncertain relation are pushed into
-///    each alternative (no component merging — the fast path);
-///  * possible/certain/conf over decomposable results use per-component
-///    math (conf uses the closed form 1 − ∏_c (1 − p_c(t)));
-///  * only `assert`, `group worlds by`, and queries that genuinely
-///    correlate components (joins of uncertain relations, aggregates over
-///    them, subqueries) enumerate the *relevant* sub-product and merge
-///    those components — never the full world-set.
+///    each alternative of the components it touches (the fast path);
+///  * repair/choice over certain data builds one new component per
+///    partition block (the clean product).
+/// Both emit the same shape — certain rows plus one factor per
+/// component, each factor a list of (probability, answer) alternatives —
+/// and one combine answers possible/certain/conf over it: a
+/// QuantifierCombiner per factor, then the union with the certain rows
+/// (conf by the closed form 1 − ∏_f (1 − p_f(t))). Only `assert`,
+/// `group worlds by`, and queries that genuinely correlate components
+/// (joins of uncertain relations, aggregates over them, subqueries)
+/// enumerate the *relevant* sub-product and merge those components —
+/// never the full world-set.
 class DecomposedWorldSet : public WorldSet {
  public:
   /// `max_merge` caps the alternatives a single merge may produce (the
@@ -103,36 +107,17 @@ class DecomposedWorldSet : public WorldSet {
   size_t num_components() const { return components_.size(); }
 
  private:
-  /// The decomposed (non-merged) form of a query result: a certain part
-  /// plus per-alternative contributions aligned with components.
-  /// `components[i]`'s alternative j contributes `contributions[i][j]`.
-  struct DecomposedResult {
-    Schema schema;
-    std::vector<Tuple> certain_rows;
-    std::vector<size_t> component_indices;            // into components_
-    std::vector<std::vector<std::vector<Tuple>>> contributions;
-    std::vector<Component> new_components;            // repair/choice output
-  };
-
-  struct PipelineOutput {
-    SelectEvaluation eval;                       // combined / groups
-    std::optional<DecomposedResult> decomposed;  // per-component sources
-    bool certain = false;  // the fold ran over the certain core alone
-    Component source;      // else: the local worlds the fold derived from
-    std::vector<size_t> replaced;  // components merged into `source`
-  };
+  /// What RunPipeline produced: the fold's answer, or a per-component
+  /// source's factors (defined in the .cc).
+  struct PipelineOutput;
 
   /// Runs `stmt` into `fold` (worlds/combiner.h), or — for a statement
   /// without assert / group worlds by whose answer decomposes (the
   /// single-relation fast path, repair/choice over certain data) — into
-  /// `decomposed`, combining a quantifier per component.
+  /// factors, one per independent component, combining a quantifier per
+  /// factor.
   Result<PipelineOutput> RunPipeline(const sql::SelectStatement& stmt,
                                      WorldFold* fold) const;
-
-  /// possible/certain/conf of a decomposed result by per-component math,
-  /// without enumerating worlds (conf: 1 − ∏_c (1 − p_c(t))).
-  Result<Table> CombineComponents(sql::WorldQuantifier quantifier,
-                                  const DecomposedResult& dec) const;
 
   /// Indices of components contributing to any of `relations` (lower-case).
   std::vector<size_t> RelevantComponents(

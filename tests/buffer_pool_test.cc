@@ -16,6 +16,7 @@
 #include "storage/buffer_pool.h"
 #include "storage/file.h"
 #include "storage/page.h"
+#include "tests/test_util.h"
 
 namespace maybms::storage {
 namespace {
@@ -23,10 +24,7 @@ namespace {
 class BufferPoolTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("maybms-pool-test-" +
-            std::to_string(reinterpret_cast<uintptr_t>(this)));
-    std::filesystem::create_directories(dir_);
+    dir_ = maybms::testing::MakeTempDir("maybms-pool-test");
     auto file = File::Open((dir_ / "pool.db").string(), /*create=*/true);
     ASSERT_TRUE(file.ok()) << file.status().ToString();
     file_ = std::move(file).value();

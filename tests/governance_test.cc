@@ -303,10 +303,7 @@ class KillPointBatteryTest : public EngineTest {
  protected:
   void SetUp() override {
     base::PollTrip::Disarm();
-    dir_ = std::filesystem::temp_directory_path() /
-           ("maybms-governance-test-" +
-            std::to_string(reinterpret_cast<uintptr_t>(this)));
-    std::filesystem::create_directories(dir_);
+    dir_ = maybms::testing::MakeTempDir("maybms-governance-test");
   }
   void TearDown() override {
     base::PollTrip::Disarm();

@@ -20,6 +20,7 @@
 #include "storage/page.h"
 #include "storage/snapshot.h"
 #include "storage/store.h"
+#include "tests/test_util.h"
 
 namespace maybms::storage {
 namespace {
@@ -91,10 +92,7 @@ class StorageRecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {
     FaultInjector::Disarm();
-    dir_ = std::filesystem::temp_directory_path() /
-           ("maybms-recovery-test-" +
-            std::to_string(reinterpret_cast<uintptr_t>(this)));
-    std::filesystem::create_directories(dir_);
+    dir_ = maybms::testing::MakeTempDir("maybms-recovery-test");
   }
 
   void TearDown() override {

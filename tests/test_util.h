@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <vector>
@@ -25,6 +27,20 @@ namespace maybms::testing {
     const ::maybms::Status _st = (expr);                             \
     EXPECT_TRUE(_st.ok()) << _st.ToString();                         \
   } while (false)
+
+/// Creates a fresh, empty directory under the system temp dir, named
+/// `prefix` plus a suffix mkdtemp picks. The name is unique across
+/// processes, so fixtures in concurrent test processes (ctest -j) never
+/// share a directory.
+inline std::filesystem::path MakeTempDir(const std::string& prefix) {
+  std::string path =
+      (std::filesystem::temp_directory_path() / (prefix + "-XXXXXX"))
+          .string();
+  if (::mkdtemp(path.data()) == nullptr) {
+    ADD_FAILURE() << "mkdtemp failed for " << path;
+  }
+  return path;
+}
 
 /// Shorthand literal constructors.
 inline Value I(int64_t v) { return Value::Integer(v); }
