@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <string>
 #include <vector>
@@ -703,6 +704,275 @@ component 4
     d: (i5 r0x1p+0)
     i: (i5 NULL i2)
 )");
+}
+
+/// Compares a rendered answer with `expected` line by line: exactly,
+/// except that when the last column is conf, each row's conf value is
+/// compared within 1e-12 (a conf sums world probabilities, and the sum
+/// order is not part of the contract).
+void ExpectAnswer(const std::string& actual, const std::string& expected,
+                  const std::string& sql) {
+  SCOPED_TRACE(sql + "\nactual:\n" + actual);
+  auto lines = [](const std::string& text) {
+    std::vector<std::string> out;
+    size_t start = 0;
+    for (size_t end; (end = text.find('\n', start)) != std::string::npos;
+         start = end + 1) {
+      out.push_back(text.substr(start, end - start));
+    }
+    if (start < text.size()) out.push_back(text.substr(start));
+    return out;
+  };
+  const std::vector<std::string> got = lines(actual);
+  const std::vector<std::string> want = lines(expected);
+  ASSERT_EQ(got.size(), want.size());
+  const bool conf = !want.empty() &&
+                    want[0].find(" conf:REAL ]") != std::string::npos;
+  for (size_t i = 0; i < want.size(); ++i) {
+    const size_t cut = want[i].rfind(' ');
+    if (!conf || i == 0 || cut == std::string::npos ||
+        want[i].compare(cut, 3, " r0") != 0 ||
+        got[i].size() < cut || got[i].compare(0, cut, want[i], 0, cut) != 0) {
+      EXPECT_EQ(got[i], want[i]);
+      continue;
+    }
+    // "(… r<hex>)": strtod reads the hex float and stops at ')'.
+    const double want_conf = std::strtod(want[i].c_str() + cut + 2, nullptr);
+    const double got_conf = std::strtod(got[i].c_str() + cut + 2, nullptr);
+    EXPECT_EQ(got[i].compare(cut, 3, " r0"), 0) << got[i];
+    EXPECT_NEAR(got_conf, want_conf, 1e-12) << got[i];
+  }
+}
+
+// X below is Integer 1 where W = 1 and Real 1.0 elsewhere, as in kX.
+constexpr char kXArg[] = "case when W = 1 then 1 else 1.0 end";
+
+// possible/certain/conf of count(*), count(col), sum, min and max over a
+// repaired relation, a chosen relation, a relation DML merged into one
+// component, and a relation with certain rows as well as components.
+// Values carry their type tags, so the spelling a world-set answer keeps
+// when Integer and Real values coincide is pinned too.
+TEST(DecomposedGoldenTest, AggregateAnswers) {
+  Session session(GoldenOptions());
+  LoadGoldenSource(session);
+  ExecScript(session, R"sql(
+    create table I as select K, V, W from R repair by key K weight W;
+    create table C as select K, V, W from R choice of W;
+    create table M as select K, V, W from R repair by key K weight W;
+    update M set W = W + 1 where K = 4;
+  )sql");
+  ASSERT_EQ(Wsd(session).num_components(), 7u);  // I: 5, C: 1, M: 1
+  const std::string x = kXArg;
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"select possible count(*) from I where V is null or V < 3;",
+       R"([ count:INTEGER ]
+(i4)
+(i5)
+)"},
+      {"select certain count(*) from I;",
+       R"([ count:INTEGER ]
+(i5)
+)"},
+      {"select conf, count(V) from I;",
+       R"([ count:INTEGER conf:REAL ]
+(i3 r0x1.fffffffffffffp-2)
+(i4 r0x1.fffffffffffffp-2)
+)"},
+      {"select possible sum(V) from I where V > 2;",
+       R"([ sum:REAL ]
+(NULL)
+(r0x1.4p+1)
+(r0x1p+2)
+(r0x1.ap+2)
+)"},
+      {"select conf, sum(V) from I where V > 2;",
+       R"([ sum:REAL conf:REAL ]
+(NULL r0x1p-3)
+(r0x1.4p+1 r0x1.8p-2)
+(r0x1p+2 r0x1p-3)
+(r0x1.ap+2 r0x1.8p-2)
+)"},
+      {"select certain sum(V) from I where V > 100;",
+       R"([ sum:REAL ]
+(NULL)
+)"},
+      {"select conf, count(*) from I where V > 100;",
+       R"([ count:INTEGER conf:REAL ]
+(i0 r0x1.ffffffffffffep-1)
+)"},
+      {"select possible sum(W) from I;",
+       R"([ sum:INTEGER ]
+(i6)
+(i7)
+(i8)
+(i9)
+(i10)
+(i11)
+(i12)
+)"},
+      {"select conf, sum(V) from I where V < 1;",
+       R"([ sum:REAL conf:REAL ]
+(r0x1.999999999999ap-4 r0x1.2492492492492p-3)
+(r0x1.999999999999ap-3 r0x1.2492492492492p-2)
+(r0x1.3333333333333p-2 r0x1.2492492492492p-1)
+)"},
+      {"select possible min(V), max(V) from I;",
+       R"([ min:REAL max:REAL ]
+(r0x1.999999999999ap-4 r0x1p+0)
+(r0x1.999999999999ap-4 r0x1.4p+1)
+(r0x1.999999999999ap-4 r0x1p+2)
+(r0x1.999999999999ap-3 r0x1p+0)
+(r0x1.999999999999ap-3 r0x1.4p+1)
+(r0x1.999999999999ap-3 r0x1p+2)
+(r0x1.3333333333333p-2 r0x1p+0)
+(r0x1.3333333333333p-2 r0x1.4p+1)
+(r0x1.3333333333333p-2 r0x1p+2)
+)"},
+      {"select possible sum(" + x + ") from I where K <> 3;",
+       R"([ sum:REAL ]
+(i4)
+)"},
+      {"select certain sum(" + x + ") from I where K <> 3;",
+       R"([ sum:REAL ]
+(i4)
+)"},
+      {"select conf, sum(" + x + ") from I where K <> 3;",
+       R"([ sum:REAL conf:REAL ]
+(i4 r0x1.ffffffffffffep-1)
+)"},
+      {"select possible min(" + x + "), max(" + x + ") from I;",
+       R"([ min:REAL max:REAL ]
+(i1 i1)
+)"},
+      {"select certain min(" + x + ") as lo, max(" + x + ") as hi from I;",
+       R"([ lo:REAL hi:REAL ]
+(i1 i1)
+)"},
+      {"select conf, max(" + x + ") from I where K = 1 or K = 4;",
+       R"([ max:REAL conf:REAL ]
+(i1 r0x1.ffffffffffffep-1)
+)"},
+      {"select conf, min(case when W = 1 then 1.0 else 1 end) from I "
+       "where K = 1 or K = 4;",
+       R"([ min:REAL conf:REAL ]
+(r0x1p+0 r0x1.ffffffffffffep-1)
+)"},
+      {"select conf, count(*), count(V), sum(V), min(V), max(W) from I "
+       "where K <> 3;",
+       R"([ count:INTEGER count:INTEGER sum:REAL min:REAL max:INTEGER conf:REAL ]
+(i4 i2 r0x1.199999999999ap+0 r0x1.999999999999ap-4 i1 r0x1.8618618618618p-8)
+(i4 i2 r0x1.199999999999ap+0 r0x1.999999999999ap-4 i2 r0x1.8618618618618p-7)
+(i4 i2 r0x1.3333333333333p+0 r0x1.999999999999ap-3 i2 r0x1.2492492492492p-5)
+(i4 i2 r0x1.4cccccccccccdp+0 r0x1.3333333333333p-2 i4 r0x1.2492492492492p-4)
+(i4 i2 r0x1.4cccccccccccdp+1 r0x1.999999999999ap-4 i3 r0x1.b6db6db6db6dbp-5)
+(i4 i2 r0x1.599999999999ap+1 r0x1.999999999999ap-3 i3 r0x1.b6db6db6db6dbp-4)
+(i4 i2 r0x1.6666666666666p+1 r0x1.3333333333333p-2 i4 r0x1.b6db6db6db6dbp-3)
+(i4 i3 r0x1.4666666666666p+2 r0x1.999999999999ap-4 i1 r0x1.8618618618618p-8)
+(i4 i3 r0x1.4666666666666p+2 r0x1.999999999999ap-4 i2 r0x1.8618618618618p-7)
+(i4 i3 r0x1.4cccccccccccdp+2 r0x1.999999999999ap-3 i2 r0x1.2492492492492p-5)
+(i4 i3 r0x1.5333333333333p+2 r0x1.3333333333333p-2 i4 r0x1.2492492492492p-4)
+(i4 i3 r0x1.a666666666666p+2 r0x1.999999999999ap-4 i3 r0x1.b6db6db6db6dbp-5)
+(i4 i3 r0x1.acccccccccccdp+2 r0x1.999999999999ap-3 i3 r0x1.b6db6db6db6dbp-4)
+(i4 i3 r0x1.b333333333333p+2 r0x1.3333333333333p-2 i4 r0x1.b6db6db6db6dbp-3)
+)"},
+      {"select possible count(*), sum(V), min(W) from C;",
+       R"([ count:INTEGER sum:REAL min:INTEGER ]
+(i1 r0x1.3333333333333p-2 i4)
+(i1 r0x1.4p+1 i3)
+(i3 r0x1.3333333333333p+0 i2)
+(i5 r0x1.4666666666666p+2 i1)
+)"},
+      {"select certain count(V) from C where K = 5;",
+       R"([ count:INTEGER ]
+(i0)
+)"},
+      {"select conf, sum(W), max(V) from C;",
+       R"([ sum:INTEGER max:REAL conf:REAL ]
+(i3 r0x1.4p+1 r0x1p-2)
+(i4 r0x1.3333333333333p-2 r0x1p-2)
+(i5 r0x1p+2 r0x1p-2)
+(i6 r0x1p+0 r0x1p-2)
+)"},
+      {"select possible sum(W), min(V) from M;",
+       R"([ sum:INTEGER min:REAL ]
+(i7 r0x1.999999999999ap-4)
+(i8 r0x1.999999999999ap-4)
+(i8 r0x1.999999999999ap-3)
+(i9 r0x1.999999999999ap-4)
+(i9 r0x1.999999999999ap-3)
+(i10 r0x1.999999999999ap-4)
+(i10 r0x1.999999999999ap-3)
+(i10 r0x1.3333333333333p-2)
+(i11 r0x1.999999999999ap-3)
+(i11 r0x1.3333333333333p-2)
+(i12 r0x1.3333333333333p-2)
+(i13 r0x1.3333333333333p-2)
+)"},
+      {"select conf, sum(W) from M where K > 3;",
+       R"([ sum:INTEGER conf:REAL ]
+(i3 r0x1.8618618618618p-5)
+(i4 r0x1.8618618618618p-3)
+(i5 r0x1.8618618618618p-3)
+(i6 r0x1.8618618618618p-3)
+(i7 r0x1.8618618618618p-2)
+)"},
+  };
+  for (const auto& [sql, expected] : cases) {
+    ExpectAnswer(Answer(session, sql), expected, sql);
+  }
+
+  // Certain rows of I as well as component contributions, restored from
+  // an edited snapshot (no I-SQL statement builds this today).
+  auto snapshot = Wsd(session).ToSnapshot();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  for (const auto& rel : snapshot->certain) {
+    if (rel.name != "I") continue;
+    Table core(snapshot->tables[rel.table_index]->schema());
+    core.AppendUnchecked(Tuple({Value::Integer(6), Value::Real(0.5),
+                                Value::Integer(1)}));
+    core.AppendUnchecked(Tuple({Value::Integer(7), Value::Null(),
+                                Value::Integer(2)}));
+    snapshot->tables[rel.table_index] =
+        std::make_shared<const Table>(std::move(core));
+  }
+  DecomposedWorldSet wsd;
+  MAYBMS_ASSERT_OK(wsd.FromSnapshot(*snapshot));
+  auto answer = [&wsd](const std::string& sql) -> std::string {
+    auto parsed = sql::Parser::ParseStatement(sql);
+    EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+    if (!parsed.ok()) return "";
+    const auto& stmt = static_cast<const sql::SelectStatement&>(**parsed);
+    auto eval = wsd.EvaluateSelect(stmt, /*max_worlds=*/5);
+    EXPECT_TRUE(eval.ok()) << sql << ": " << eval.status().ToString();
+    return eval.ok() ? RenderEvaluation(*eval) : "";
+  };
+  const std::vector<std::pair<std::string, std::string>> core_cases = {
+      {"select possible count(*), count(V) from I;",
+       R"([ count:INTEGER count:INTEGER ]
+(i7 i4)
+(i7 i5)
+)"},
+      {"select certain min(" + x + ") from I;",
+       R"([ min:REAL ]
+(i1)
+)"},
+      {"select conf, sum(V), min(W) from I where V is null or V < 2;",
+       R"([ sum:REAL min:INTEGER conf:REAL ]
+(r0x1.999999999999ap+0 i1 r0x1.b6db6db6db6dbp-4)
+(r0x1.b333333333333p+0 i1 r0x1.b6db6db6db6dbp-3)
+(r0x1.ccccccccccccdp+0 i1 r0x1.b6db6db6db6dbp-2)
+(r0x1.4cccccccccccdp+1 i1 r0x1.2492492492492p-5)
+(r0x1.599999999999ap+1 i1 r0x1.2492492492492p-4)
+(r0x1.6666666666666p+1 i1 r0x1.2492492492492p-3)
+)"},
+      {"select possible max(V) from I where K > 5;",
+       R"([ max:REAL ]
+(r0x1p-1)
+)"},
+  };
+  for (const auto& [sql, expected] : core_cases) {
+    ExpectAnswer(answer(sql), expected, sql);
+  }
 }
 
 }  // namespace
