@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "base/string_util.h"
@@ -46,6 +47,12 @@ Result<Value> ResolveColumn(const sql::ColumnRefExpr& ref,
                                ? ref.name
                                : ref.qualifier + "." + ref.name));
 }
+
+Status IntegerOverflow() { return Status::RuntimeError("integer overflow"); }
+
+/// `a % b` for b != 0. INT64_MIN % -1 overflows in C++ (and traps on
+/// x86); every x % -1 is 0.
+int64_t Remainder(int64_t a, int64_t b) { return b == -1 ? 0 : a % b; }
 
 Result<Value> EvalBinary(const sql::BinaryExpr& expr, const EvalContext& ctx) {
   // AND/OR need lazy semantics for three-valued logic.
@@ -117,16 +124,32 @@ Result<Value> EvalBinary(const sql::BinaryExpr& expr, const EvalContext& ctx) {
   }
   bool both_int = left.type() == DataType::kInteger &&
                   right.type() == DataType::kInteger;
+  int64_t exact = 0;
   switch (expr.op) {
     case BinaryOp::kAdd:
-      return both_int ? Value::Integer(left.AsInteger() + right.AsInteger())
-                      : Value::Real(left.NumericValue() + right.NumericValue());
+      if (!both_int) {
+        return Value::Real(left.NumericValue() + right.NumericValue());
+      }
+      if (__builtin_add_overflow(left.AsInteger(), right.AsInteger(), &exact)) {
+        return IntegerOverflow();
+      }
+      return Value::Integer(exact);
     case BinaryOp::kSubtract:
-      return both_int ? Value::Integer(left.AsInteger() - right.AsInteger())
-                      : Value::Real(left.NumericValue() - right.NumericValue());
+      if (!both_int) {
+        return Value::Real(left.NumericValue() - right.NumericValue());
+      }
+      if (__builtin_sub_overflow(left.AsInteger(), right.AsInteger(), &exact)) {
+        return IntegerOverflow();
+      }
+      return Value::Integer(exact);
     case BinaryOp::kMultiply:
-      return both_int ? Value::Integer(left.AsInteger() * right.AsInteger())
-                      : Value::Real(left.NumericValue() * right.NumericValue());
+      if (!both_int) {
+        return Value::Real(left.NumericValue() * right.NumericValue());
+      }
+      if (__builtin_mul_overflow(left.AsInteger(), right.AsInteger(), &exact)) {
+        return IntegerOverflow();
+      }
+      return Value::Integer(exact);
     case BinaryOp::kDivide:
       // Division is always real to avoid silent truncation in weight
       // arithmetic (documented deviation from PostgreSQL int division).
@@ -139,7 +162,7 @@ Result<Value> EvalBinary(const sql::BinaryExpr& expr, const EvalContext& ctx) {
       if (right.AsInteger() == 0) {
         return Status::RuntimeError("modulo by zero");
       }
-      return Value::Integer(left.AsInteger() % right.AsInteger());
+      return Value::Integer(Remainder(left.AsInteger(), right.AsInteger()));
     default:
       return Status::RuntimeError("unhandled binary operator");
   }
@@ -185,48 +208,10 @@ Result<Value> EvalAggregate(const sql::FunctionCallExpr& call,
     inputs.erase(std::unique(inputs.begin(), inputs.end()), inputs.end());
   }
 
-  if (call.name == "count") {
-    return Value::Integer(static_cast<int64_t>(inputs.size()));
-  }
-  if (inputs.empty()) return Value::Null();
-
-  if (call.name == "min" || call.name == "max") {
-    Value best = inputs[0];
-    for (size_t i = 1; i < inputs.size(); ++i) {
-      MAYBMS_ASSIGN_OR_RETURN(Trivalent less, inputs[i].SqlLess(best));
-      bool take = call.name == "min" ? less == Trivalent::kTrue
-                                     : less == Trivalent::kFalse;
-      if (call.name == "max") {
-        MAYBMS_ASSIGN_OR_RETURN(Trivalent greater, best.SqlLess(inputs[i]));
-        take = greater == Trivalent::kTrue;
-      }
-      if (take) best = inputs[i];
-    }
-    return best;
-  }
-
-  // sum / avg need numerics.
-  bool all_int = true;
-  double sum = 0;
-  int64_t isum = 0;
-  for (const Value& v : inputs) {
-    if (!v.IsNumeric()) {
-      return Status::TypeError(call.name + " over non-numeric values");
-    }
-    if (v.type() == DataType::kInteger) {
-      isum += v.AsInteger();
-    } else {
-      all_int = false;
-    }
-    sum += v.NumericValue();
-  }
-  if (call.name == "sum") {
-    return all_int ? Value::Integer(isum) : Value::Real(sum);
-  }
-  if (call.name == "avg") {
-    return Value::Real(sum / static_cast<double>(inputs.size()));
-  }
-  return Status::InvalidArgument("unknown aggregate: " + call.name);
+  MAYBMS_ASSIGN_OR_RETURN(AggregateAccumulator acc,
+                          AggregateAccumulator::Create(call.name));
+  for (const Value& v : inputs) MAYBMS_RETURN_NOT_OK(acc.Add(v));
+  return acc.Finish();
 }
 
 Result<Value> EvalScalarFunction(const sql::FunctionCallExpr& call,
@@ -249,7 +234,9 @@ Result<Value> EvalScalarFunction(const sql::FunctionCallExpr& call,
     MAYBMS_RETURN_NOT_OK(require_args(1));
     if (args[0].is_null()) return Value::Null();
     if (args[0].type() == DataType::kInteger) {
-      return Value::Integer(std::llabs(args[0].AsInteger()));
+      int64_t v = args[0].AsInteger();
+      if (v == std::numeric_limits<int64_t>::min()) return IntegerOverflow();
+      return Value::Integer(v < 0 ? -v : v);
     }
     if (args[0].type() == DataType::kReal) {
       return Value::Real(std::fabs(args[0].AsReal()));
@@ -331,7 +318,7 @@ Result<Value> EvalScalarFunction(const sql::FunctionCallExpr& call,
     if (args[1].AsInteger() == 0) {
       return Status::RuntimeError("modulo by zero");
     }
-    return Value::Integer(args[0].AsInteger() % args[1].AsInteger());
+    return Value::Integer(Remainder(args[0].AsInteger(), args[1].AsInteger()));
   }
   if (call.name == "substr" || call.name == "substring") {
     if (args.size() != 2 && args.size() != 3) {
@@ -482,6 +469,131 @@ bool ContainsAggregate(const sql::Expr& expr) {
   return found;
 }
 
+Result<AggregateAccumulator> AggregateAccumulator::Create(
+    const std::string& name) {
+  if (name == "count") return AggregateAccumulator(Function::kCount);
+  if (name == "sum") return AggregateAccumulator(Function::kSum);
+  if (name == "avg") return AggregateAccumulator(Function::kAvg);
+  if (name == "min") return AggregateAccumulator(Function::kMin);
+  if (name == "max") return AggregateAccumulator(Function::kMax);
+  return Status::InvalidArgument("unknown aggregate: " + name);
+}
+
+Status AggregateAccumulator::Add(const Value& value) {
+  switch (function_) {
+    case Function::kCount:
+      break;
+    case Function::kMin:
+    case Function::kMax: {
+      if (count_ == 0) {
+        best_ = value;
+        break;
+      }
+      // Strictly smaller (larger) replaces: ties keep the first value.
+      MAYBMS_ASSIGN_OR_RETURN(Trivalent less, value.SqlLess(best_));
+      bool take = less == Trivalent::kTrue;
+      if (function_ == Function::kMax) {
+        MAYBMS_ASSIGN_OR_RETURN(Trivalent greater, best_.SqlLess(value));
+        take = greater == Trivalent::kTrue;
+      }
+      if (take) best_ = value;
+      break;
+    }
+    case Function::kSum:
+    case Function::kAvg:
+      if (!value.IsNumeric()) {
+        return Status::TypeError(
+            std::string(function_ == Function::kSum ? "sum" : "avg") +
+            " over non-numeric values");
+      }
+      if (value.type() == DataType::kInteger) {
+        int_sum_ += value.AsInteger();
+      } else {
+        all_int_ = false;
+      }
+      real_sum_ += value.NumericValue();
+      break;
+  }
+  ++count_;
+  return Status::OK();
+}
+
+Result<Value> AggregateAccumulator::Finish() const {
+  if (function_ == Function::kCount) {
+    return Value::Integer(static_cast<int64_t>(count_));
+  }
+  if (count_ == 0) return Value::Null();
+  switch (function_) {
+    case Function::kMin:
+    case Function::kMax:
+      return best_;
+    case Function::kAvg:
+      return Value::Real(real_sum_ / static_cast<double>(count_));
+    default:
+      break;
+  }
+  if (!all_int_) return Value::Real(real_sum_);
+  if (int_sum_ < std::numeric_limits<int64_t>::min() ||
+      int_sum_ > std::numeric_limits<int64_t>::max()) {
+    return IntegerOverflow();
+  }
+  return Value::Integer(static_cast<int64_t>(int_sum_));
+}
+
+void AggregateAccumulator::AppendIdentity(std::string* out) const {
+  auto append = [out](const void* bytes, size_t n) {
+    out->append(static_cast<const char*>(bytes), n);
+  };
+  switch (function_) {
+    case Function::kCount:
+      append(&count_, sizeof(count_));
+      return;
+    case Function::kMin:
+    case Function::kMax: {
+      // A tag byte, then the value's bits; text is length-prefixed.
+      const char tag = static_cast<char>(best_.type());
+      append(&tag, 1);
+      switch (best_.type()) {
+        case DataType::kNull:
+          return;
+        case DataType::kInteger: {
+          const int64_t v = best_.AsInteger();
+          append(&v, sizeof(v));
+          return;
+        }
+        case DataType::kReal: {
+          const double v = best_.AsReal();
+          append(&v, sizeof(v));
+          return;
+        }
+        case DataType::kText: {
+          const size_t n = best_.AsText().size();
+          append(&n, sizeof(n));
+          append(best_.AsText().data(), n);
+          return;
+        }
+        case DataType::kBoolean: {
+          const char v = best_.AsBoolean() ? 1 : 0;
+          append(&v, 1);
+          return;
+        }
+      }
+      return;
+    }
+    case Function::kSum:
+    case Function::kAvg: {
+      // An empty sum is NULL; a Real sum no longer depends on the integer
+      // inputs' exact total; avg divides by the count.
+      const char tag = count_ == 0 ? 0 : (all_int_ ? 1 : 2);
+      append(&tag, 1);
+      append(&real_sum_, sizeof(real_sum_));
+      if (all_int_) append(&int_sum_, sizeof(int_sum_));
+      if (function_ == Function::kAvg) append(&count_, sizeof(count_));
+      return;
+    }
+  }
+}
+
 Result<Trivalent> EvalPredicate(const sql::Expr& expr,
                                 const EvalContext& ctx) {
   MAYBMS_ASSIGN_OR_RETURN(Value v, EvalExpr(expr, ctx));
@@ -504,7 +616,12 @@ Result<Value> EvalExpr(const sql::Expr& expr, const EvalContext& ctx) {
       }
       MAYBMS_ASSIGN_OR_RETURN(Value v, EvalExpr(*u.operand, ctx));
       if (v.is_null()) return Value::Null();
-      if (v.type() == DataType::kInteger) return Value::Integer(-v.AsInteger());
+      if (v.type() == DataType::kInteger) {
+        if (v.AsInteger() == std::numeric_limits<int64_t>::min()) {
+          return IntegerOverflow();
+        }
+        return Value::Integer(-v.AsInteger());
+      }
       if (v.type() == DataType::kReal) return Value::Real(-v.AsReal());
       return Status::TypeError("unary minus on non-numeric value");
     }

@@ -1,7 +1,9 @@
 #ifndef MAYBMS_ENGINE_EXPR_EVAL_H_
 #define MAYBMS_ENGINE_EXPR_EVAL_H_
 
+#include <cstddef>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "base/result.h"
@@ -61,6 +63,44 @@ bool ContainsAggregate(const sql::Expr& expr);
 
 /// True if `name` (lower-case) is an aggregate function.
 bool IsAggregateFunction(const std::string& name);
+
+/// The running value of one aggregate function (count, sum, avg, min,
+/// max) over its non-NULL inputs, fed in input order. This is the one
+/// definition of aggregate semantics: the per-world executor and the
+/// decomposed engine's aggregate fold both accumulate through it.
+///  * The caller skips NULL inputs (and applies DISTINCT).
+///  * No input: count gives 0, every other function NULL.
+///  * min/max keep the first of equal values (Integer 1 before Real 1.0).
+///  * sum is Integer if every input is an integer, else Real. An integer
+///    sum is exact — independent of input order — and fails with "integer
+///    overflow" only when the total leaves int64.
+class AggregateAccumulator {
+ public:
+  /// `name` must be a lower-case aggregate function name.
+  static Result<AggregateAccumulator> Create(const std::string& name);
+
+  /// Folds one non-NULL input.
+  Status Add(const Value& value);
+
+  /// The aggregate over the inputs added so far.
+  Result<Value> Finish() const;
+
+  /// Appends the state's exact identity — type tags and bits, so Integer
+  /// 1 and Real 1.0 differ — to `out`. Accumulators of one function with
+  /// equal identities finish alike after any further inputs.
+  void AppendIdentity(std::string* out) const;
+
+ private:
+  enum class Function { kCount, kSum, kAvg, kMin, kMax };
+  explicit AggregateAccumulator(Function function) : function_(function) {}
+
+  Function function_;
+  size_t count_ = 0;       // inputs added
+  bool all_int_ = true;    // sum/avg: every input an integer
+  __int128 int_sum_ = 0;   // sum/avg: exact sum of the integer inputs
+  double real_sum_ = 0;    // sum/avg: every input, summed in order
+  Value best_;             // min/max: the current extreme
+};
 
 }  // namespace maybms::engine
 

@@ -104,6 +104,30 @@ TEST_P(ServerTest, ErrorReplyKeepsTheConnectionOpen) {
   EXPECT_EQ(good->first, StatusCode::kOk);
 }
 
+TEST_P(ServerTest, IntegerOverflowIsAStatementError) {
+  auto server = MustStart(BaseOptions());
+  ASSERT_NE(server, nullptr);
+  Fd conn = MustConnect(*server);
+  ASSERT_TRUE(conn.valid());
+
+  // INT64_MIN % -1 used to raise SIGFPE and take the server down.
+  auto rem = RoundTrip(conn, "select (-9223372036854775807 - 1) % -1;",
+                       kTimeoutMs);
+  ASSERT_TRUE(rem.ok()) << rem.status().ToString();
+  EXPECT_EQ(rem->first, StatusCode::kOk) << rem->second;
+
+  auto overflow = RoundTrip(conn, "select 9223372036854775807 + 1;",
+                            kTimeoutMs);
+  ASSERT_TRUE(overflow.ok()) << overflow.status().ToString();
+  EXPECT_EQ(overflow->first, StatusCode::kRuntimeError);
+  EXPECT_NE(overflow->second.find("integer overflow"), std::string::npos)
+      << overflow->second;
+
+  auto next = RoundTrip(conn, "select 1;", kTimeoutMs);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next->first, StatusCode::kOk);
+}
+
 TEST_P(ServerTest, ScriptErrorsKeepEarlierStatementsApplied) {
   auto server = MustStart(BaseOptions());
   ASSERT_NE(server, nullptr);

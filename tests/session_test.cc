@@ -169,6 +169,53 @@ TEST_P(SessionTest, MaxDisplayWorldsTruncates) {
   EXPECT_TRUE(r.truncated());
 }
 
+// Integer arithmetic never wraps: +, -, *, unary minus, abs and an
+// integer sum fail with "integer overflow" when the exact result leaves
+// int64, and x % -1 is 0 (INT64_MIN % -1 used to trap the process).
+TEST_P(SessionTest, IntegerArithmeticIsChecked) {
+  Session session((Options()));
+  ExecScript(session, R"sql(
+    create table T (A integer);
+    insert into T values (9223372036854775807), (-9223372036854775807 - 1);
+    create table R (K integer, V integer);
+    insert into R values (1, 9223372036854775807), (2, 1), (2, -1);
+    create table I as select * from R repair by key K;
+  )sql");
+  auto expect_overflow = [&session](const std::string& sql) {
+    auto r = session.Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kRuntimeError) << sql;
+    EXPECT_EQ(r.status().message(), "integer overflow") << sql;
+  };
+  expect_overflow("select A + 1 from T;");
+  expect_overflow("select A - 1 from T;");
+  expect_overflow("select A * 3 from T;");
+  expect_overflow("select -A from T;");
+  expect_overflow("select abs(A) from T;");
+  expect_overflow("select sum(V) from R where K = 1 or V = 1;");
+  expect_overflow("select possible sum(V) from I;");
+  expect_overflow("select conf, sum(V) from I;");
+
+  auto expect_rows = [&session](const std::string& sql,
+                                std::vector<std::string> rows) {
+    QueryResult r = Exec(session, sql);
+    auto table = r.RequireTable();
+    ASSERT_TRUE(table.ok()) << sql << ": " << table.status().ToString();
+    ExpectRows(**table, std::move(rows));
+  };
+  // (I has two worlds: `possible` makes each answer one table.)
+  expect_rows("select possible (-9223372036854775807 - 1) % -1, A % -1, "
+              "mod(A, -1) from T;",
+              {"(0, 0, 0)"});
+  // The integer sum is exact, so an intermediate overflow that the total
+  // undoes is no error, whatever the row order.
+  expect_rows("select possible sum(V) from R;", {"(9223372036854775807)"});
+  expect_rows("select possible sum(A) from T;", {"(-1)"});
+  expect_rows("select possible sum(V) from I where K = 2;", {"(-1)", "(1)"});
+  // The session keeps serving after the errors.
+  expect_rows("select certain count(*) from T;", {"(2)"});
+}
+
 TEST_P(SessionTest, RequireTableHelper) {
   Session session((Options()));
   maybms::testing::LoadFigure1(session);
