@@ -1,6 +1,7 @@
 #include "engine/expr_eval.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -540,58 +541,73 @@ Result<Value> AggregateAccumulator::Finish() const {
   return Value::Integer(static_cast<int64_t>(int_sum_));
 }
 
-void AggregateAccumulator::AppendIdentity(std::string* out) const {
-  auto append = [out](const void* bytes, size_t n) {
-    out->append(static_cast<const char*>(bytes), n);
-  };
+namespace {
+
+/// Same type and bits (Value's own equality makes Integer 1 equal to Real
+/// 1.0, and -0.0 equal to 0.0).
+bool SameBits(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  switch (a.type()) {
+    case DataType::kNull:
+      return true;
+    case DataType::kInteger:
+      return a.AsInteger() == b.AsInteger();
+    case DataType::kReal:
+      return std::bit_cast<uint64_t>(a.AsReal()) ==
+             std::bit_cast<uint64_t>(b.AsReal());
+    case DataType::kText:
+      return a.AsText() == b.AsText();
+    case DataType::kBoolean:
+      return a.AsBoolean() == b.AsBoolean();
+  }
+  return false;
+}
+
+size_t HashMix(size_t seed, uint64_t v) {
+  return seed ^ (std::hash<uint64_t>{}(v) + 0x9e3779b97f4a7c15ULL +
+                 (seed << 6) + (seed >> 2));
+}
+
+}  // namespace
+
+bool AggregateAccumulator::SameState(const AggregateAccumulator& other) const {
+  if (function_ != other.function_) return false;
   switch (function_) {
     case Function::kCount:
-      append(&count_, sizeof(count_));
-      return;
+      return count_ == other.count_;
     case Function::kMin:
-    case Function::kMax: {
-      // A tag byte, then the value's bits; text is length-prefixed.
-      const char tag = static_cast<char>(best_.type());
-      append(&tag, 1);
-      switch (best_.type()) {
-        case DataType::kNull:
-          return;
-        case DataType::kInteger: {
-          const int64_t v = best_.AsInteger();
-          append(&v, sizeof(v));
-          return;
-        }
-        case DataType::kReal: {
-          const double v = best_.AsReal();
-          append(&v, sizeof(v));
-          return;
-        }
-        case DataType::kText: {
-          const size_t n = best_.AsText().size();
-          append(&n, sizeof(n));
-          append(best_.AsText().data(), n);
-          return;
-        }
-        case DataType::kBoolean: {
-          const char v = best_.AsBoolean() ? 1 : 0;
-          append(&v, 1);
-          return;
-        }
-      }
-      return;
-    }
+    case Function::kMax:
+      return SameBits(best_, other.best_);
     case Function::kSum:
-    case Function::kAvg: {
-      // An empty sum is NULL; a Real sum no longer depends on the integer
-      // inputs' exact total; avg divides by the count.
-      const char tag = count_ == 0 ? 0 : (all_int_ ? 1 : 2);
-      append(&tag, 1);
-      append(&real_sum_, sizeof(real_sum_));
-      if (all_int_) append(&int_sum_, sizeof(int_sum_));
-      if (function_ == Function::kAvg) append(&count_, sizeof(count_));
-      return;
-    }
+    case Function::kAvg:
+      // An empty sum is NULL, and a Real sum no longer depends on the
+      // integer inputs' exact total; avg also divides by the count.
+      if ((count_ == 0) != (other.count_ == 0)) return false;
+      if (function_ == Function::kAvg && count_ != other.count_) return false;
+      return all_int_ == other.all_int_ &&
+             std::bit_cast<uint64_t>(real_sum_) ==
+                 std::bit_cast<uint64_t>(other.real_sum_) &&
+             (!all_int_ || int_sum_ == other.int_sum_);
   }
+  return false;
+}
+
+size_t AggregateAccumulator::StateHash() const {
+  size_t h = static_cast<size_t>(function_);
+  switch (function_) {
+    case Function::kCount:
+      return HashMix(h, count_);
+    case Function::kMin:
+    case Function::kMax:
+      h = HashMix(h, static_cast<uint64_t>(best_.type()));
+      return best_.is_null() ? h : HashMix(h, best_.Hash());
+    case Function::kSum:
+    case Function::kAvg:
+      h = HashMix(h, std::bit_cast<uint64_t>(real_sum_));
+      if (all_int_) h = HashMix(h, static_cast<uint64_t>(int_sum_));
+      return function_ == Function::kAvg ? HashMix(h, count_) : h;
+  }
+  return h;
 }
 
 Result<Trivalent> EvalPredicate(const sql::Expr& expr,

@@ -85,10 +85,13 @@ class AggregateAccumulator {
   /// The aggregate over the inputs added so far.
   Result<Value> Finish() const;
 
-  /// Appends the state's exact identity — type tags and bits, so Integer
-  /// 1 and Real 1.0 differ — to `out`. Accumulators of one function with
-  /// equal identities finish alike after any further inputs.
-  void AppendIdentity(std::string* out) const;
+  /// Exact state identity — type tags and bits, so Integer 1 and Real
+  /// 1.0 differ. Accumulators of one function in the same state finish
+  /// alike after any further inputs.
+  bool SameState(const AggregateAccumulator& other) const;
+
+  /// A hash consistent with SameState.
+  size_t StateHash() const;
 
  private:
   enum class Function { kCount, kSum, kAvg, kMin, kMax };

@@ -1,5 +1,7 @@
 #include "worlds/component.h"
 
+#include "base/query_context.h"
+
 namespace maybms::worlds {
 
 const std::vector<Tuple>* Alternative::TuplesFor(
@@ -54,17 +56,19 @@ Result<Component> MergeComponents(const std::vector<const Component*>& parts,
 
   uint64_t total = 1;
   for (const Component* part : parts) {
+    if (part->alternatives.empty()) {
+      return Status::EmptyWorldSet("component with no alternatives");
+    }
     total *= static_cast<uint64_t>(part->size());
     if (max_alternatives != 0 && total > max_alternatives) {
-      return Status::Unsupported(
-          "component merge would exceed " + std::to_string(max_alternatives) +
-          " alternatives; the query correlates too many components");
+      return MergeCapExceeded(max_alternatives);
     }
   }
 
   merged.alternatives.reserve(static_cast<size_t>(total));
   std::vector<size_t> pick(parts.size(), 0);
   while (true) {
+    MAYBMS_RETURN_NOT_OK(base::GovernPoll());
     Alternative combo;
     combo.probability = 1.0;
     for (size_t i = 0; i < parts.size(); ++i) {
@@ -85,6 +89,12 @@ Result<Component> MergeComponents(const std::vector<const Component*>& parts,
     if (i == parts.size()) break;
   }
   return merged;
+}
+
+Status MergeCapExceeded(size_t max_alternatives) {
+  return Status::Unsupported(
+      "component merge would exceed " + std::to_string(max_alternatives) +
+      " alternatives; the query correlates too many components");
 }
 
 }  // namespace maybms::worlds

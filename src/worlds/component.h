@@ -46,8 +46,14 @@ struct Component {
 /// alternatives are all combinations, with merged contributions and
 /// product probabilities. The result size is the product of the part
 /// sizes; `max_alternatives` guards against explosion (0 = unlimited).
+/// A part without alternatives is an error. Polls governance once per
+/// combination.
 Result<Component> MergeComponents(const std::vector<const Component*>& parts,
                                   size_t max_alternatives);
+
+/// The error of a merge — or of anything that stands in for one — that
+/// would exceed `max_alternatives`.
+Status MergeCapExceeded(size_t max_alternatives);
 
 }  // namespace maybms::worlds
 

@@ -7,6 +7,8 @@
 #include <optional>
 #include <queue>
 #include <random>
+#include <span>
+#include <unordered_set>
 #include <utility>
 
 #include "base/query_context.h"
@@ -37,15 +39,15 @@ bool ContainsSubquery(const sql::Expr& expr) {
   return found;
 }
 
-/// Filters `rows` (over the projection's qualified source schema) by the
-/// statement's WHERE clause and projects them through the prepared select
-/// list. The fast path guarantees there are no subqueries, so `db` is only
-/// a formality for the evaluation context; `where_plans` shares what
-/// little subquery analysis there is across the per-alternative calls.
-Result<Table> FilterProjectRows(
-    const sql::SelectStatement& core, const Database& db, const Schema& schema,
-    const std::vector<Tuple>& rows, engine::PreparedProjection& projection,
-    engine::SubqueryPlanCache* where_plans) {
+/// The rows of `rows` (over `schema`) that satisfy the statement's WHERE
+/// clause. The per-component sources guarantee there are no subqueries,
+/// so `db` is only a formality for the evaluation context; `where_plans`
+/// shares what little subquery analysis there is across calls.
+Result<std::vector<Tuple>> FilterRows(const sql::SelectStatement& core,
+                                      const Database& db,
+                                      const Schema& schema,
+                                      const std::vector<Tuple>& rows,
+                                      engine::SubqueryPlanCache* where_plans) {
   std::vector<Tuple> kept;
   kept.reserve(rows.size());
   engine::SubqueryCache subquery_cache(where_plans);
@@ -59,6 +61,16 @@ Result<Table> FilterProjectRows(
     }
     kept.push_back(row);
   }
+  return kept;
+}
+
+/// FilterRows, then the prepared select list.
+Result<Table> FilterProjectRows(
+    const sql::SelectStatement& core, const Database& db, const Schema& schema,
+    const std::vector<Tuple>& rows, engine::PreparedProjection& projection,
+    engine::SubqueryPlanCache* where_plans) {
+  MAYBMS_ASSIGN_OR_RETURN(std::vector<Tuple> kept,
+                          FilterRows(core, db, schema, rows, where_plans));
   return projection.Execute(db, kept);
 }
 
@@ -78,6 +90,233 @@ struct DecomposedResult {
   Table certain;
   std::vector<Factor> factors;
 };
+
+/// A scan of one relation with a per-row WHERE: no joins (self-joins
+/// correlate tuples), set operations, DISTINCT, grouping, ordering or
+/// limit, and no subquery or aggregate in WHERE. The shape both
+/// single-relation per-component sources need.
+bool IsSingleRelationScan(const sql::SelectStatement& stmt,
+                          const std::set<std::string>& referenced) {
+  if (stmt.from.size() != 1 || referenced.size() != 1) return false;
+  if (!stmt.joins.empty()) return false;
+  if (stmt.union_next || stmt.distinct) return false;
+  if (!stmt.group_by.empty() || stmt.having || !stmt.order_by.empty() ||
+      stmt.limit.has_value()) {
+    return false;
+  }
+  return !stmt.where || (!ContainsSubquery(*stmt.where) &&
+                         !engine::ContainsAggregate(*stmt.where));
+}
+
+/// The fast path's select list: stars and per-row expressions.
+bool IsPerRowSelectList(const sql::SelectStatement& stmt) {
+  return std::all_of(
+      stmt.items.begin(), stmt.items.end(), [](const sql::SelectItem& item) {
+        return item.star || (!ContainsSubquery(*item.expr) &&
+                             !engine::ContainsAggregate(*item.expr));
+      });
+}
+
+/// The aggregate fold's select list: each item count(*), or a
+/// non-DISTINCT count/sum/min/max of one per-row expression.
+bool IsFoldableAggregateList(const sql::SelectStatement& stmt) {
+  return std::all_of(
+      stmt.items.begin(), stmt.items.end(), [](const sql::SelectItem& item) {
+        if (item.star || item.expr->kind != sql::ExprKind::kFunctionCall) {
+          return false;
+        }
+        const auto& call =
+            static_cast<const sql::FunctionCallExpr&>(*item.expr);
+        if (call.distinct) return false;
+        if (call.star) return call.name == "count";
+        if (call.name != "count" && call.name != "sum" &&
+            call.name != "min" && call.name != "max") {
+          return false;
+        }
+        return call.args.size() == 1 && !ContainsSubquery(*call.args[0]) &&
+               !engine::ContainsAggregate(*call.args[0]);
+      });
+}
+
+/// The aggregate fold's inputs from a list of rows: for each row the WHERE
+/// keeps, one value per select item — the item's argument, or for
+/// count(*) a non-NULL stand-in — flattened row-major.
+Result<std::vector<Value>> AggregateInputs(
+    const sql::SelectStatement& core, const Database& db, const Schema& schema,
+    const std::vector<Tuple>& rows, engine::SubqueryPlanCache* where_plans) {
+  MAYBMS_ASSIGN_OR_RETURN(std::vector<Tuple> kept,
+                          FilterRows(core, db, schema, rows, where_plans));
+  std::vector<Value> inputs;
+  inputs.reserve(kept.size() * core.items.size());
+  for (const Tuple& row : kept) {
+    engine::EvalContext ctx{&db, &schema, &row, nullptr, nullptr, nullptr};
+    for (const sql::SelectItem& item : core.items) {
+      const auto& call = static_cast<const sql::FunctionCallExpr&>(*item.expr);
+      if (call.star) {
+        inputs.push_back(Value::Boolean(true));
+        continue;
+      }
+      MAYBMS_ASSIGN_OR_RETURN(Value v, engine::EvalExpr(*call.args[0], ctx));
+      inputs.push_back(std::move(v));
+    }
+  }
+  return inputs;
+}
+
+/// Folds flattened AggregateInputs onto one accumulator per item, row by
+/// row; NULLs are skipped.
+Status Accumulate(const std::vector<Value>& inputs,
+                  std::span<engine::AggregateAccumulator> accs) {
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    if (inputs[i].is_null()) continue;
+    MAYBMS_RETURN_NOT_OK(accs[i % accs.size()].Add(inputs[i]));
+  }
+  return Status::OK();
+}
+
+/// The aggregate fold's answer, or none: enumerate instead.
+using Folded = std::optional<DecomposedResult>;
+
+/// The aggregate fold: a quantified select list of count/sum/min/max over
+/// one relation, folded one component at a time instead of enumerating
+/// the relevant sub-product.
+///
+/// A state is the accumulators of the worlds' partial answers: the certain
+/// rows, then each component's chosen alternative in index order — the
+/// merged path's row order, so a real sum is bit-identical. Folding a
+/// component combines every state with every alternative; states of equal
+/// exact identity (AggregateAccumulator::SameState) merge, adding
+/// their probabilities. The work is Σ states × alternatives instead of
+/// Π alternatives, and the state count never exceeds the product, so the
+/// merge cap (`max_merge`, 0 = none) only refuses what merging would.
+///
+/// Returns one factor of one-row answers, one per final state, in the
+/// order of the first world (odometer ordinal) reaching it — the order the
+/// merged path feeds its combiner. Returns nullopt when a row or an
+/// accumulator fails: the caller then enumerates, which reports the error
+/// exactly as before.
+Result<Folded> FoldAggregates(
+    const sql::SelectStatement& stmt, const Database& certain,
+    const std::vector<const Component*>& parts, size_t max_merge) {
+  std::unique_ptr<sql::SelectStatement> core = StripWorldOps(stmt);
+  const std::string rel = AsciiToLower(stmt.from[0].table_name);
+  Result<const Table*> table = certain.GetRelation(rel);
+  if (!table.ok()) return Folded();
+  const Schema qualified =
+      (*table)->schema().WithQualifier(stmt.from[0].effective_alias());
+  Result<std::vector<engine::OutputItem>> items =
+      engine::ResolveItems(*core, qualified);
+  if (!items.ok()) return Folded();
+  Schema schema =
+      engine::InferOutputSchema(*items, qualified, certain, nullptr);
+
+  // The states, flattened: state s holds the accumulators
+  // [s·width, (s+1)·width) and the probability probs[s].
+  const size_t width = core->items.size();
+  std::vector<engine::AggregateAccumulator> accs;
+  accs.reserve(width);
+  for (const sql::SelectItem& item : core->items) {
+    Result<engine::AggregateAccumulator> acc =
+        engine::AggregateAccumulator::Create(
+            static_cast<const sql::FunctionCallExpr&>(*item.expr).name);
+    if (!acc.ok()) return Folded();
+    accs.push_back(std::move(*acc));
+  }
+  std::vector<double> probs = {1.0};
+  engine::SubqueryPlanCache where_plans;
+  Result<std::vector<Value>> certain_inputs =
+      AggregateInputs(*core, certain, qualified, (*table)->rows(),
+                      &where_plans);
+  if (!certain_inputs.ok() || !Accumulate(*certain_inputs, accs).ok()) {
+    return Folded();
+  }
+
+  static const std::vector<Tuple> kNoRows;
+  for (const Component* part : parts) {
+    MAYBMS_RETURN_NOT_OK(base::GovernPoll());
+    std::vector<std::vector<Value>> alt_inputs;
+    alt_inputs.reserve(part->size());
+    for (const Alternative& alt : part->alternatives) {
+      const std::vector<Tuple>* rows = alt.TuplesFor(rel);
+      Result<std::vector<Value>> inputs =
+          AggregateInputs(*core, certain, qualified,
+                          rows != nullptr ? *rows : kNoRows, &where_plans);
+      if (!inputs.ok()) return Folded();
+      alt_inputs.push_back(std::move(*inputs));
+    }
+    std::vector<engine::AggregateAccumulator> next_accs;
+    std::vector<double> next_probs;
+    auto state = [&next_accs, width](size_t s) {
+      return std::span(next_accs).subspan(s * width, width);
+    };
+    auto hash = [&state](size_t s) {
+      size_t h = 0;
+      for (const engine::AggregateAccumulator& acc : state(s)) {
+        h = h * 31 + acc.StateHash();
+      }
+      return h;
+    };
+    auto same = [&state](size_t a, size_t b) {
+      return std::equal(state(a).begin(), state(a).end(), state(b).begin(),
+                        [](const engine::AggregateAccumulator& x,
+                           const engine::AggregateAccumulator& y) {
+                          return x.SameState(y);
+                        });
+    };
+    // Indices of next's states, by state.
+    std::unordered_set<size_t, decltype(hash), decltype(same)> index(
+        16, hash, same);
+    // Alternatives outermost: a component's ordinal stride exceeds every
+    // earlier ordinal, so states are created in first-world order.
+    for (size_t a = 0; a < part->size(); ++a) {
+      const double p = part->alternatives[a].probability;
+      for (size_t s = 0; s < probs.size(); ++s) {
+        const size_t candidate = next_probs.size();
+        next_accs.insert(next_accs.end(), accs.begin() + s * width,
+                         accs.begin() + (s + 1) * width);
+        if (!Accumulate(alt_inputs[a], state(candidate)).ok()) {
+          return Folded();
+        }
+        auto [it, inserted] = index.insert(candidate);
+        if (!inserted) {
+          next_probs[*it] += probs[s] * p;
+          next_accs.erase(next_accs.end() - width, next_accs.end());
+          continue;
+        }
+        if (max_merge != 0 && candidate >= max_merge) {
+          return MergeCapExceeded(max_merge);
+        }
+        next_probs.push_back(probs[s] * p);
+      }
+    }
+    MAYBMS_RETURN_NOT_OK(base::GovernChargeBytes(
+        base::EstimateTableBytes(next_probs.size(), width)));
+    accs = std::move(next_accs);
+    probs = std::move(next_probs);
+  }
+
+  DecomposedResult result{Table(schema), {Factor{}}};
+  std::vector<std::pair<double, Table>>& answers =
+      result.factors[0].alternatives;
+  answers.reserve(probs.size());
+  for (size_t s = 0; s < probs.size(); ++s) {
+    Tuple row;
+    for (size_t i = 0; i < width; ++i) {
+      Result<Value> v = accs[s * width + i].Finish();
+      if (!v.ok()) return Folded();
+      row.Append(std::move(*v));
+    }
+    Table answer(schema);
+    answer.AppendUnchecked(std::move(row));
+    answers.emplace_back(probs[s], std::move(answer));
+  }
+  // CombineFactors feeds a certain factor last to first; reversed, it
+  // sees the merged path's world order.
+  if (stmt.quantifier == sql::WorldQuantifier::kCertain) {
+    std::reverse(answers.begin(), answers.end());
+  }
+  return Folded(std::move(result));
+}
 
 /// possible/certain/conf of a decomposed answer without enumerating
 /// worlds: one QuantifierCombiner per factor over its alternatives, then
@@ -511,29 +750,6 @@ Status DecomposedWorldSet::ApplyDml(const sql::Statement& stmt,
   return Status::OK();
 }
 
-bool DecomposedWorldSet::QualifiesForFastPath(
-    const sql::SelectStatement& stmt,
-    const std::set<std::string>& referenced) const {
-  if (stmt.from.size() != 1 || referenced.size() != 1) return false;
-  if (!stmt.joins.empty()) return false;  // self-joins correlate tuples
-  if (stmt.union_next || stmt.distinct) return false;
-  if (!stmt.group_by.empty() || stmt.having || !stmt.order_by.empty() ||
-      stmt.limit.has_value()) {
-    return false;
-  }
-  if (stmt.where &&
-      (ContainsSubquery(*stmt.where) || engine::ContainsAggregate(*stmt.where))) {
-    return false;
-  }
-  for (const sql::SelectItem& item : stmt.items) {
-    if (item.star) continue;
-    if (ContainsSubquery(*item.expr) || engine::ContainsAggregate(*item.expr)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 Result<DecomposedWorldSet::PipelineOutput> DecomposedWorldSet::RunPipeline(
     const sql::SelectStatement& stmt, WorldFold* fold) const {
   std::set<std::string> referenced;
@@ -590,7 +806,8 @@ Result<DecomposedWorldSet::PipelineOutput> DecomposedWorldSet::RunPipeline(
     }
     out.decomposed = std::move(result);
   } else if (!whole_worlds && !fans_out && !relevant.empty() &&
-             QualifiesForFastPath(stmt, referenced)) {
+             IsSingleRelationScan(stmt, referenced) &&
+             IsPerRowSelectList(stmt)) {
     // Fast path: push selection/projection into each alternative — no
     // component merging, component structure preserved.
     std::unique_ptr<sql::SelectStatement> core = StripWorldOps(stmt);
@@ -634,6 +851,15 @@ Result<DecomposedWorldSet::PipelineOutput> DecomposedWorldSet::RunPipeline(
       result.factors.push_back(std::move(factor));
     }
     out.decomposed = std::move(result);
+  } else if (!whole_worlds && !fans_out && !relevant.empty() &&
+             stmt.quantifier != sql::WorldQuantifier::kNone &&
+             IsSingleRelationScan(stmt, referenced) &&
+             IsFoldableAggregateList(stmt)) {
+    std::vector<const Component*> parts;
+    parts.reserve(relevant.size());
+    for (size_t i : relevant) parts.push_back(&components_[i]);
+    MAYBMS_ASSIGN_OR_RETURN(out.decomposed,
+                            FoldAggregates(stmt, certain_, parts, max_merge_));
   }
   if (out.decomposed.has_value()) {
     if (stmt.quantifier != sql::WorldQuantifier::kNone) {
@@ -825,6 +1051,10 @@ Status DecomposedWorldSet::FromSnapshot(
     // the live set. The post-commit reload runs shielded (see
     // isql::Session::PersistAndReload).
     MAYBMS_RETURN_NOT_OK(base::GovernPoll());
+    if (component_ref.alternatives.empty()) {
+      return Status::DataLoss(
+          "decomposed snapshot restore: component with no alternatives");
+    }
     Component component;
     component.alternatives.reserve(component_ref.alternatives.size());
     for (const auto& alt_ref : component_ref.alternatives) {

@@ -15,9 +15,9 @@
 //  * Components are independent by construction: each alternative's
 //    probabilities sum to 1 within its component, and world probability
 //    is the product over components. Operations that would correlate
-//    components (joins of uncertain relations, aggregates over them,
-//    assert, group worlds by, DML touching them) first merge the
-//    RELEVANT components only — never the full product.
+//    components (joins of uncertain relations, assert, group worlds by,
+//    DML touching them) first merge the RELEVANT components only — never
+//    the full product.
 //  * Query plans are schema-only and never capture alternative contents;
 //    per-world state (subquery materializations, hash indexes) lives in
 //    per-execution caches (engine/planner.h).
@@ -50,20 +50,22 @@ namespace maybms::worlds {
 /// ICDE'07 paper's "10^10^6 worlds" point.
 ///
 /// Query processing avoids world enumeration wherever the paper's
-/// operations allow. Two per-component sources answer without merging:
+/// operations allow. Three per-component sources answer without merging:
 ///  * selections/projections over one uncertain relation are pushed into
 ///    each alternative of the components it touches (the fast path);
 ///  * repair/choice over certain data builds one new component per
-///    partition block (the clean product).
-/// Both emit the same shape — certain rows plus one factor per
-/// component, each factor a list of (probability, answer) alternatives —
-/// and one combine answers possible/certain/conf over it: a
-/// QuantifierCombiner per factor, then the union with the certain rows
-/// (conf by the closed form 1 − ∏_f (1 − p_f(t))). Only `assert`,
-/// `group worlds by`, and queries that genuinely correlate components
-/// (joins of uncertain relations, aggregates over them, subqueries)
-/// enumerate the *relevant* sub-product and merge those components —
-/// never the full world-set.
+///    partition block (the clean product);
+///  * possible/certain/conf of count/sum/min/max over one uncertain
+///    relation fold partial aggregates one component at a time, merging
+///    equal states (the aggregate fold).
+/// All emit the same shape — certain rows plus independent factors, each
+/// factor a list of (probability, answer) alternatives — and one combine
+/// answers possible/certain/conf over it: a QuantifierCombiner per
+/// factor, then the union with the certain rows (conf by the closed form
+/// 1 − ∏_f (1 − p_f(t))). Only `assert`, `group worlds by`, and queries
+/// that genuinely correlate components (joins of uncertain relations,
+/// subqueries, other aggregate shapes) enumerate the *relevant*
+/// sub-product and merge those components — never the full world-set.
 class DecomposedWorldSet : public WorldSet {
  public:
   /// `max_merge` caps the alternatives a single merge may produce (the
@@ -113,9 +115,9 @@ class DecomposedWorldSet : public WorldSet {
 
   /// Runs `stmt` into `fold` (worlds/combiner.h), or — for a statement
   /// without assert / group worlds by whose answer decomposes (the
-  /// single-relation fast path, repair/choice over certain data) — into
-  /// factors, one per independent component, combining a quantifier per
-  /// factor.
+  /// single-relation fast path, repair/choice over certain data, the
+  /// aggregate fold) — into independent factors, combining a quantifier
+  /// per factor.
   Result<PipelineOutput> RunPipeline(const sql::SelectStatement& stmt,
                                      WorldFold* fold) const;
 
@@ -131,12 +133,6 @@ class DecomposedWorldSet : public WorldSet {
   /// Merges the given components into a single flattened component
   /// (enumerating their sub-product, capped by max_merge_).
   Result<Component> MergeRelevant(const std::vector<size_t>& indices) const;
-
-  /// True if the statement qualifies for the per-alternative push-down
-  /// fast path (single uncertain relation scan, per-tuple predicate, plain
-  /// projection).
-  bool QualifiesForFastPath(const sql::SelectStatement& stmt,
-                            const std::set<std::string>& referenced) const;
 
   Database certain_;
   std::vector<Component> components_;

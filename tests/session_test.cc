@@ -421,10 +421,73 @@ TEST(SessionCapsTest, DecomposedMergeCapGuardsCorrelation) {
     insert into R values (1,1),(1,2),(2,1),(2,2),(3,1),(3,2),(4,1),(4,2);
     create table I as select * from R repair by key K;
   )sql");
-  // sum(V) correlates all 4 components: 16 > max_merge.
-  auto r = session.Execute("select possible sum(V) from I;");
+  // The self-join correlates all 4 components: 16 > max_merge.
+  auto r = session.Execute("select possible a.V from I a, I b where a.K < b.K;");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kUnsupported);
+}
+
+TEST(SessionCapsTest, DecomposedAggregateFoldNeedsNoMerge) {
+  SessionOptions options;
+  options.engine = EngineMode::kDecomposed;
+  options.max_merge = 8;
+  Session session(options);
+  ExecScript(session, R"sql(
+    create table R (K integer, V integer);
+    insert into R values (1,1),(1,2),(2,1),(2,2),(3,1),(3,2),(4,1),(4,2);
+    create table I as select * from R repair by key K;
+  )sql");
+  // 16 worlds, but only 5 distinct sums: the fold never holds more than
+  // 5 partial states, so the cap of 8 does not refuse it.
+  QueryResult r = Exec(session, "select possible sum(V) from I;");
+  ASSERT_EQ(r.kind(), QueryResult::Kind::kTable);
+  ExpectRows(r.table(), {"(4)", "(5)", "(6)", "(7)", "(8)"});
+  EXPECT_EQ(session.world_set().NumWorlds(), 16u);
+}
+
+TEST(SessionCapsTest, DecomposedAggregatesOverMillionsOfWorlds) {
+  SessionOptions options;
+  options.engine = EngineMode::kDecomposed;
+  Session session(options);
+  std::string insert = "insert into R values ";
+  for (int k = 0; k < 24; ++k) {
+    insert += (k == 0 ? "" : ", ") + std::string("(") + std::to_string(k) +
+              ", 1), (" + std::to_string(k) + ", 2)";
+  }
+  ExecScript(session, "create table R (K integer, V integer);\n" + insert +
+                          ";\ncreate table I as select * from R "
+                          "repair by key K;");
+  ASSERT_EQ(session.world_set().NumWorlds(), uint64_t{1} << 24);
+
+  // 2^24 worlds exceed the default merge cap of 2^20; the fold does not
+  // enumerate them.
+  QueryResult possible = Exec(session, "select possible sum(V) from I;");
+  ASSERT_EQ(possible.kind(), QueryResult::Kind::kTable);
+  std::vector<std::string> sums;
+  for (int s = 24; s <= 48; ++s) sums.push_back("(" + std::to_string(s) + ")");
+  ExpectRows(possible.table(), sums);
+
+  QueryResult certain = Exec(session, "select certain count(*) from I;");
+  ASSERT_EQ(certain.kind(), QueryResult::Kind::kTable);
+  ExpectRows(certain.table(), {"(24)"});
+  QueryResult none = Exec(session, "select certain sum(V) from I;");
+  ASSERT_EQ(none.kind(), QueryResult::Kind::kTable);
+  EXPECT_EQ(none.table().num_rows(), 0u);
+
+  // conf of a sum of 24 fair coin flips over {1, 2}: C(24, j) / 2^24.
+  QueryResult conf =
+      Exec(session, "select conf, sum(V), count(V) from I where K < 24;");
+  ASSERT_EQ(conf.kind(), QueryResult::Kind::kTable);
+  ASSERT_EQ(conf.table().num_rows(), 25u);
+  double binomial = 1;
+  for (size_t j = 0; j <= 24; ++j) {
+    const Tuple& row = conf.table().row(j);
+    EXPECT_EQ(row.value(0).AsInteger(), static_cast<int64_t>(24 + j));
+    EXPECT_EQ(row.value(1).AsInteger(), 24);
+    EXPECT_NEAR(row.value(2).AsReal(), binomial / (1 << 24), 1e-12);
+    binomial = binomial * static_cast<double>(24 - j) /
+               static_cast<double>(j + 1);
+  }
 }
 
 TEST(SessionCapsTest, RepairChoiceCapErrorsNameTheirCap) {
