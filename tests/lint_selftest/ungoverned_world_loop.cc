@@ -1,6 +1,7 @@
 // maybms-lint-fixture: src/worlds/fixture_world_set.cc
 // Known-bad fixture: per-world loops with no governance. A range-for
-// over a worlds collection must poll the statement budget — in the
+// over a worlds collection, or an endless loop that advances an odometer
+// over a product of components, must poll the statement budget — in the
 // body, or directly above it (the poll-before-mutate idiom for loops a
 // mid-loop abort would tear) — or be routed through ParallelFor. The
 // fixture pretends to live in src/worlds/, where the rule applies, and
@@ -35,6 +36,46 @@ struct Fixture {
     for (int i : items) sum += i;
 
     (void)sum;
+  }
+
+  // One pass per combination of the parts' alternatives.
+  void UngovernedOdometer(int (&sizes)[4]) {
+    int pick[4] = {0, 0, 0, 0};
+    int combinations = 0;
+    while (true) {  // expect-lint: ungoverned-world-loop
+      ++combinations;
+      int i = 0;
+      for (; i < 4; ++i) {
+        if (++pick[i] < sizes[i]) break;
+        pick[i] = 0;
+      }
+      if (i == 4) break;
+    }
+    (void)combinations;
+  }
+
+  void GovernedOdometer(int (&sizes)[4]) {
+    int pick[4] = {0, 0, 0, 0};
+    while (true) {
+      GovernPoll();
+      int i = 0;
+      for (; i < 4; ++i) {
+        if (++pick[i] < sizes[i]) break;
+        pick[i] = 0;
+      }
+      if (i == 4) break;
+    }
+  }
+
+  // An endless loop that advances no odometer is out of scope.
+  static int Digits(int n) {
+    int digits = 0;
+    while (true) {
+      ++digits;
+      if (n < 10) break;
+      n /= 10;
+    }
+    return digits;
   }
 
   void GovernedShapes(int (&worlds)[4]) {

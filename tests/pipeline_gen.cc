@@ -228,8 +228,14 @@ void PipelineGenerator::EmitLateDml(GeneratedPipeline* p) {
     const TableInfo& t = Pick(/*prefer_uncertain=*/Chance(0.5));
     const char kGs[] = {'x', 'y', 'z'};
     std::ostringstream sql;
-    sql << "insert into " << t.name << " values (" << Int(0, 3) << ", "
-        << Int(1, 6) << ", " << Int(1, 9) << ", '" << kGs[Int(0, 2)] << "');";
+    sql << "insert into " << t.name << " values (" << Int(0, 3) << ", ";
+    // Now and then a NULL V, for aggregates that must skip it.
+    if (Chance(0.2)) {
+      sql << "null";
+    } else {
+      sql << Int(1, 6);
+    }
+    sql << ", " << Int(1, 9) << ", '" << kGs[Int(0, 2)] << "');";
     p->setup.push_back(sql.str());
   }
   if (Chance(0.25)) {
@@ -353,12 +359,25 @@ std::string PipelineGenerator::RandomProbe() {
       break;
     }
     case 3: {  // aggregate
+      // One to three items. Under a quantifier the decomposed engine folds
+      // count/sum/min/max per component; avg, count(distinct …) and
+      // HAVING enumerate the merged sub-product instead, so both sides of
+      // that choice run. V may hold NULLs (see EmitLateDml); V + 0.1 and
+      // W + 0.5-retyped W give real sums whose rounding depends on the
+      // summation order.
       const TableInfo& t = Pick(true);
-      if (quant == 3) quant = Int(0, 2);
-      const char* aggs[] = {"sum(V)", "count(*)", "min(V)", "max(W)"};
-      out << "select " << quant_prefix[quant] << aggs[Int(0, 3)] << " from "
-          << t.name;
+      const char* aggs[] = {"sum(V)",       "count(*)",    "min(V)",
+                            "max(W)",       "count(V)",    "sum(W)",
+                            "sum(V + 0.1)", "max(V + W)",  "min(G)",
+                            "avg(V)",       "count(distinct V)"};
+      const int items = Chance(0.3) ? Int(2, 3) : 1;
+      out << "select " << quant_prefix[quant];
+      for (int i = 0; i < items; ++i) {
+        out << (i == 0 ? "" : ", ") << aggs[Int(0, 10)];
+      }
+      out << " from " << t.name;
       if (Chance(0.5)) out << " where " << RandomPredicate("");
+      if (Chance(0.1)) out << " having count(*) > " << Int(0, 3);
       break;
     }
     case 4: {  // bare conf with a subquery condition

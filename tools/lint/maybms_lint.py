@@ -98,7 +98,11 @@ WORLD_RANGE_RE = re.compile(r"\b(worlds_?|Worlds)\b")
 WORLD_DECL_RE = re.compile(r"\bWorld\b")
 GOVERN_RE = re.compile(
     r"\b(GovernPoll|GovernChargeWorlds|GovernChargeBytes|ParallelFor)\b")
-WORLD_LOOP_PRE_CONTEXT = 300  # chars of stripped code before the `for`
+WORLD_LOOP_PRE_CONTEXT = 300  # chars of stripped code before the loop
+# An endless loop that advances an odometer (`++pick[i] < parts[i]...`)
+# walks a product of components: one pass per world or combination.
+ENDLESS_LOOP_RE = re.compile(r"\bwhile\s*\(\s*true\s*\)")
+ODOMETER_RE = re.compile(r"\+\+\s*\w+\s*\[[^\]]*\]\s*<")
 
 FORBIDDEN_API_PATTERNS = [
     # (regex, exempt_path_prefix, message): a match is ignored when the
@@ -451,10 +455,22 @@ def range_for_split(header):
     return None
 
 
+def loop_body(stripped, k):
+    """The statement or braced block starting at or after index k."""
+    while k < len(stripped) and stripped[k].isspace():
+        k += 1
+    if k < len(stripped) and stripped[k] == "{":
+        end = match_brace_close(stripped, k)
+        return stripped[k:end + 1] if end >= 0 else stripped[k:]
+    semi = stripped.find(";", k)
+    return stripped[k:semi + 1] if semi >= 0 else stripped[k:]
+
+
 def check_ungoverned_world_loop(path_for_rules, stripped, line_starts,
                                 findings, allows):
     if not WORLD_LOOP_SCOPE.search(path_for_rules):
         return
+    loops = []  # (start of the loop keyword, body)
     for m in re.finditer(r"\bfor\s*\(", stripped):
         open_idx = stripped.index("(", m.end() - 1)
         close_idx = match_paren_close(stripped, open_idx)
@@ -464,22 +480,18 @@ def check_ungoverned_world_loop(path_for_rules, stripped, line_starts,
         if split is None:
             continue
         decl, range_expr = split
-        if not (WORLD_RANGE_RE.search(range_expr)
+        if (WORLD_RANGE_RE.search(range_expr)
                 or WORLD_DECL_RE.search(decl)):
-            continue
-        k = close_idx + 1
-        while k < len(stripped) and stripped[k].isspace():
-            k += 1
-        if k < len(stripped) and stripped[k] == "{":
-            end = match_brace_close(stripped, k)
-            body = stripped[k:end + 1] if end >= 0 else stripped[k:]
-        else:
-            semi = stripped.find(";", k)
-            body = stripped[k:semi + 1] if semi >= 0 else stripped[k:]
-        pre = stripped[max(0, m.start() - WORLD_LOOP_PRE_CONTEXT):m.start()]
+            loops.append((m.start(), loop_body(stripped, close_idx + 1)))
+    for m in ENDLESS_LOOP_RE.finditer(stripped):
+        body = loop_body(stripped, m.end())
+        if ODOMETER_RE.search(body):
+            loops.append((m.start(), body))
+    for start, body in loops:
+        pre = stripped[max(0, start - WORLD_LOOP_PRE_CONTEXT):start]
         if GOVERN_RE.search(body) or GOVERN_RE.search(pre):
             continue
-        line = line_of(stripped, m.start(), line_starts)
+        line = line_of(stripped, start, line_starts)
         if not suppressed(allows, line, "ungoverned-world-loop"):
             findings.append(Finding(
                 path_for_rules, line, "ungoverned-world-loop",
