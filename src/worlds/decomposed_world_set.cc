@@ -120,22 +120,22 @@ bool IsPerRowSelectList(const sql::SelectStatement& stmt) {
 /// The aggregate fold's select list: each item count(*), or a
 /// non-DISTINCT count/sum/min/max of one per-row expression.
 bool IsFoldableAggregateList(const sql::SelectStatement& stmt) {
-  return std::all_of(
-      stmt.items.begin(), stmt.items.end(), [](const sql::SelectItem& item) {
-        if (item.star || item.expr->kind != sql::ExprKind::kFunctionCall) {
-          return false;
-        }
-        const auto& call =
-            static_cast<const sql::FunctionCallExpr&>(*item.expr);
-        if (call.distinct) return false;
-        if (call.star) return call.name == "count";
-        if (call.name != "count" && call.name != "sum" &&
-            call.name != "min" && call.name != "max") {
-          return false;
-        }
-        return call.args.size() == 1 && !ContainsSubquery(*call.args[0]) &&
-               !engine::ContainsAggregate(*call.args[0]);
-      });
+  auto foldable = [](const sql::SelectItem& item) {
+    if (item.star || item.expr->kind != sql::ExprKind::kFunctionCall) {
+      return false;
+    }
+    const auto& call = static_cast<const sql::FunctionCallExpr&>(*item.expr);
+    if (call.distinct) return false;
+    if (call.star) return call.name == "count";
+    if (call.name != "count" && call.name != "sum" && call.name != "min" &&
+        call.name != "max") {
+      return false;
+    }
+    return call.args.size() == 1 && !ContainsSubquery(*call.args[0]) &&
+           !engine::ContainsAggregate(*call.args[0]);
+  };
+  return !stmt.items.empty() &&
+         std::all_of(stmt.items.begin(), stmt.items.end(), foldable);
 }
 
 /// The aggregate fold's inputs from a list of rows: for each row the WHERE

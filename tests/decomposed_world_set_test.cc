@@ -975,5 +975,36 @@ TEST(DecomposedGoldenTest, AggregateAnswers) {
   }
 }
 
+
+// Which spelling a combined answer keeps when worlds give equal values
+// of different types follows world enumeration order, in which the
+// first component's alternative varies fastest. Here the world choosing
+// K = 1's second tuple reaches the sum 1 as an Integer before the world
+// choosing K = 5's second tuple reaches it as a Real.
+TEST(DecomposedGoldenTest, AggregateSpellingFollowsWorldOrder) {
+  Session session(GoldenOptions());
+  LoadGoldenSource(session);
+  Exec(session,
+       "create table I as select K, V, W from R repair by key K weight W;");
+  const std::string sum =
+      "sum(case when K = 5 and W = 2 then 1.0 when W = 1 then 0 else 1 end)";
+  ExpectAnswer(
+      Answer(session, "select possible " + sum + " from I where K = 1 or K = 5;"),
+      R"([ sum:REAL ]
+(i0)
+(i1)
+(r0x1p+1)
+)",
+      "possible");
+  ExpectAnswer(
+      Answer(session, "select conf, " + sum + " from I where K = 1 or K = 5;"),
+      R"([ sum:REAL conf:REAL ]
+(i0 r0x1.5555555555555p-4)
+(i1 r0x1.aaaaaaaaaaaaap-2)
+(r0x1p+1 r0x1p-1)
+)",
+      "conf");
+}
+
 }  // namespace
 }  // namespace maybms::worlds

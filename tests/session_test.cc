@@ -216,6 +216,35 @@ TEST_P(SessionTest, IntegerArithmeticIsChecked) {
   expect_rows("select certain count(*) from T;", {"(2)"});
 }
 
+// A quantified aggregate whose row or accumulator fails reports the
+// per-world executor's error on both engines: the decomposed engine's
+// aggregate fold hands such a statement back to world enumeration.
+TEST_P(SessionTest, QuantifiedAggregateErrorsAreThePerWorldErrors) {
+  Session session((Options()));
+  ExecScript(session, R"sql(
+    create table R (K integer, V integer, G text);
+    insert into R values (1, 1, 'a'), (1, 2, 'b'), (2, 0, 'c'), (2, 3, 'd');
+    create table I as select * from R repair by key K;
+  )sql");
+  auto expect_error = [&session](const std::string& sql, StatusCode code,
+                                 const std::string& message) {
+    auto r = session.Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), code) << sql;
+    EXPECT_EQ(r.status().message(), message) << sql;
+  };
+  expect_error("select possible sum(G) from I;", StatusCode::kTypeError,
+               "sum over non-numeric values");
+  expect_error("select certain count(*), max(V / 0) from I;",
+               StatusCode::kRuntimeError, "division by zero");
+  expect_error("select conf, min(G + 1) from I where K = 2;",
+               StatusCode::kTypeError,
+               "arithmetic on non-numeric types: TEXT + INTEGER");
+  expect_error("select possible max(case when K = 1 then V else G end) "
+               "from I;",
+               StatusCode::kTypeError, "cannot order TEXT against INTEGER");
+}
+
 TEST_P(SessionTest, RequireTableHelper) {
   Session session((Options()));
   maybms::testing::LoadFigure1(session);
