@@ -262,13 +262,18 @@ std::string RenderEvaluation(const SelectEvaluation& eval) {
 
 /// A session statement's full answer: the combined table, or each listed
 /// world with its probability, then "truncated" when the listing hit the
-/// display cap.
+/// display cap; under group worlds by, each group's probability, key and
+/// answer.
 std::string Answer(Session& session, const std::string& sql) {
   QueryResult result = Exec(session, sql);
   if (result.has_table()) return RenderTable(result.table());
   std::string out;
   for (const auto& [p, table] : result.worlds()) {
     out += "world " + Hex(p) + " " + RenderTable(table);
+  }
+  for (const auto& group : result.groups()) {
+    out += "group " + Hex(group.probability) + " key " +
+           RenderTable(group.key) + RenderTable(group.table);
   }
   return out + (result.truncated() ? "truncated\n" : "");
 }
@@ -1004,6 +1009,409 @@ TEST(DecomposedGoldenTest, AggregateSpellingFollowsWorldOrder) {
 (r0x1p+1 r0x1p-1)
 )",
       "conf");
+}
+
+// Golden answers and stored structure of the merged path: every statement
+// that correlates components (assert, group worlds by, a join of two
+// uncertain relations, an aggregate outside the aggregate fold, a
+// repair over an uncertain source) and DML on an uncertain relation. I
+// has two components (K = 1: 2 alternatives, K = 4: 3); C has one (3
+// alternatives), so I and C together have 18 worlds.
+void LoadMergedSource(Session& session) {
+  LoadGoldenSource(session);
+  ExecScript(session, R"sql(
+    create table I as select K, V, W from R where K = 1 or K = 4
+      repair by key K weight W;
+    create table C as select W, V from R where K = 4 choice of W;
+  )sql");
+}
+
+TEST(DecomposedGoldenTest, MergedPathAnswers) {
+  const std::string assert_list =
+      "select K, V from I assert exists (select * from C where W < 4);";
+  const std::string assert_conf =
+      "select conf, K, V from I "
+      "assert not exists (select * from I where W = 4);";
+  const std::string grouped =
+      "select conf, K, V from I group worlds by (select W from I where K = 4);";
+  const std::string join =
+      "select conf, I.K, C.V from I, C where I.W = C.W;";
+  const std::string average = "select conf, avg(V) from I;";
+  const std::string repair = "select conf, K, W from I repair by key W;";
+  {
+    Session session(GoldenOptions());
+    LoadMergedSource(session);
+    EXPECT_EQ(Answer(session, assert_list),
+              R"(world 0x1.2492492492493p-6 [ K:INTEGER V:REAL ]
+(i1 r0x1p+0)
+(i4 r0x1.999999999999ap-4)
+world 0x1.b6db6db6db6ddp-5 [ K:INTEGER V:REAL ]
+(i1 r0x1.4p+1)
+(i4 r0x1.999999999999ap-4)
+world 0x1.2492492492493p-5 [ K:INTEGER V:REAL ]
+(i1 r0x1p+0)
+(i4 r0x1.999999999999ap-3)
+world 0x1.b6db6db6db6ddp-4 [ K:INTEGER V:REAL ]
+(i1 r0x1.4p+1)
+(i4 r0x1.999999999999ap-3)
+world 0x1.2492492492493p-4 [ K:INTEGER V:REAL ]
+(i1 r0x1p+0)
+(i4 r0x1.3333333333333p-2)
+truncated
+)");
+    EXPECT_EQ(Answer(session, assert_conf),
+              R"([ K:INTEGER V:REAL conf:REAL ]
+(i1 r0x1p+0 r0x1p-2)
+(i1 r0x1.4p+1 r0x1.8p-1)
+(i4 r0x1.999999999999ap-4 r0x1.5555555555555p-2)
+(i4 r0x1.999999999999ap-3 r0x1.5555555555555p-1)
+)");
+    EXPECT_EQ(Answer(session, grouped),
+              R"(group 0x1.2492492492492p-3 key [ W:INTEGER ]
+(i1)
+[ K:INTEGER V:REAL conf:REAL ]
+(i1 r0x1p+0 r0x1p-2)
+(i1 r0x1.4p+1 r0x1.8p-1)
+(i4 r0x1.999999999999ap-4 r0x1p+0)
+group 0x1.2492492492492p-2 key [ W:INTEGER ]
+(i2)
+[ K:INTEGER V:REAL conf:REAL ]
+(i1 r0x1p+0 r0x1p-2)
+(i1 r0x1.4p+1 r0x1.8p-1)
+(i4 r0x1.999999999999ap-3 r0x1p+0)
+group 0x1.2492492492492p-1 key [ W:INTEGER ]
+(i4)
+[ K:INTEGER V:REAL conf:REAL ]
+(i1 r0x1p+0 r0x1p-2)
+(i1 r0x1.4p+1 r0x1.8p-1)
+(i4 r0x1.3333333333333p-2 r0x1p+0)
+)");
+    EXPECT_EQ(Answer(session, join),
+              R"([ K:INTEGER V:REAL conf:REAL ]
+(i1 r0x1.999999999999ap-4 r0x1.5555555555555p-4)
+(i4 r0x1.999999999999ap-4 r0x1.8618618618618p-5)
+(i4 r0x1.999999999999ap-3 r0x1.8618618618618p-4)
+(i4 r0x1.3333333333333p-2 r0x1.8618618618618p-3)
+)");
+    EXPECT_EQ(Answer(session, average),
+              R"([ avg:REAL conf:REAL ]
+(r0x1.199999999999ap-1 r0x1.2492492492492p-5)
+(r0x1.3333333333333p-1 r0x1.2492492492492p-4)
+(r0x1.4cccccccccccdp-1 r0x1.2492492492492p-3)
+(r0x1.4cccccccccccdp+0 r0x1.b6db6db6db6dbp-4)
+(r0x1.599999999999ap+0 r0x1.b6db6db6db6dbp-3)
+(r0x1.6666666666666p+0 r0x1.b6db6db6db6dbp-2)
+)");
+    EXPECT_EQ(Answer(session, "select avg(V) from I;"),
+              R"(world 0x1.2492492492492p-5 [ avg:REAL ]
+(r0x1.199999999999ap-1)
+world 0x1.b6db6db6db6dbp-4 [ avg:REAL ]
+(r0x1.4cccccccccccdp+0)
+world 0x1.2492492492492p-4 [ avg:REAL ]
+(r0x1.3333333333333p-1)
+world 0x1.b6db6db6db6dbp-3 [ avg:REAL ]
+(r0x1.599999999999ap+0)
+world 0x1.2492492492492p-3 [ avg:REAL ]
+(r0x1.4cccccccccccdp-1)
+truncated
+)");
+    EXPECT_EQ(Answer(session, repair),
+              R"([ K:INTEGER W:INTEGER conf:REAL ]
+(i1 i1 r0x1.db6db6db6db6dp-3)
+(i1 i3 r0x1.8p-1)
+(i4 i1 r0x1p-3)
+(i4 i2 r0x1.2492492492492p-2)
+(i4 i4 r0x1.2492492492492p-1)
+)");
+  }
+  // Each `create table … as` in a fresh session, so each structure shows
+  // that statement's stored result alone.
+  auto stored = [](const std::string& sql) {
+    Session session(GoldenOptions());
+    LoadMergedSource(session);
+    Exec(session, "create table T as " + sql);
+    return Structure(Wsd(session));
+  };
+  EXPECT_EQ(stored(assert_list),
+            R"(C [ W:INTEGER V:REAL ]
+I [ K:INTEGER V:REAL W:INTEGER ]
+T [ K:INTEGER V:REAL ]
+component 0
+  alternative 0x1.2492492492493p-6
+    c: (i1 r0x1.999999999999ap-4)
+    i: (i1 r0x1p+0 i1) (i4 r0x1.999999999999ap-4 i1)
+    t: (i1 r0x1p+0) (i4 r0x1.999999999999ap-4)
+  alternative 0x1.b6db6db6db6ddp-5
+    c: (i1 r0x1.999999999999ap-4)
+    i: (i1 r0x1.4p+1 i3) (i4 r0x1.999999999999ap-4 i1)
+    t: (i1 r0x1.4p+1) (i4 r0x1.999999999999ap-4)
+  alternative 0x1.2492492492493p-5
+    c: (i1 r0x1.999999999999ap-4)
+    i: (i1 r0x1p+0 i1) (i4 r0x1.999999999999ap-3 i2)
+    t: (i1 r0x1p+0) (i4 r0x1.999999999999ap-3)
+  alternative 0x1.b6db6db6db6ddp-4
+    c: (i1 r0x1.999999999999ap-4)
+    i: (i1 r0x1.4p+1 i3) (i4 r0x1.999999999999ap-3 i2)
+    t: (i1 r0x1.4p+1) (i4 r0x1.999999999999ap-3)
+  alternative 0x1.2492492492493p-4
+    c: (i1 r0x1.999999999999ap-4)
+    i: (i1 r0x1p+0 i1) (i4 r0x1.3333333333333p-2 i4)
+    t: (i1 r0x1p+0) (i4 r0x1.3333333333333p-2)
+  alternative 0x1.b6db6db6db6ddp-3
+    c: (i1 r0x1.999999999999ap-4)
+    i: (i1 r0x1.4p+1 i3) (i4 r0x1.3333333333333p-2 i4)
+    t: (i1 r0x1.4p+1) (i4 r0x1.3333333333333p-2)
+  alternative 0x1.2492492492493p-6
+    c: (i2 r0x1.999999999999ap-3)
+    i: (i1 r0x1p+0 i1) (i4 r0x1.999999999999ap-4 i1)
+    t: (i1 r0x1p+0) (i4 r0x1.999999999999ap-4)
+  alternative 0x1.b6db6db6db6ddp-5
+    c: (i2 r0x1.999999999999ap-3)
+    i: (i1 r0x1.4p+1 i3) (i4 r0x1.999999999999ap-4 i1)
+    t: (i1 r0x1.4p+1) (i4 r0x1.999999999999ap-4)
+  alternative 0x1.2492492492493p-5
+    c: (i2 r0x1.999999999999ap-3)
+    i: (i1 r0x1p+0 i1) (i4 r0x1.999999999999ap-3 i2)
+    t: (i1 r0x1p+0) (i4 r0x1.999999999999ap-3)
+  alternative 0x1.b6db6db6db6ddp-4
+    c: (i2 r0x1.999999999999ap-3)
+    i: (i1 r0x1.4p+1 i3) (i4 r0x1.999999999999ap-3 i2)
+    t: (i1 r0x1.4p+1) (i4 r0x1.999999999999ap-3)
+  alternative 0x1.2492492492493p-4
+    c: (i2 r0x1.999999999999ap-3)
+    i: (i1 r0x1p+0 i1) (i4 r0x1.3333333333333p-2 i4)
+    t: (i1 r0x1p+0) (i4 r0x1.3333333333333p-2)
+  alternative 0x1.b6db6db6db6ddp-3
+    c: (i2 r0x1.999999999999ap-3)
+    i: (i1 r0x1.4p+1 i3) (i4 r0x1.3333333333333p-2 i4)
+    t: (i1 r0x1.4p+1) (i4 r0x1.3333333333333p-2)
+)");
+  EXPECT_EQ(stored(assert_conf),
+            R"(C [ W:INTEGER V:REAL ]
+I [ K:INTEGER V:REAL W:INTEGER ]
+T [ K:INTEGER V:REAL conf:REAL ]
+(i1 r0x1p+0 r0x1p-2)
+(i1 r0x1.4p+1 r0x1.8p-1)
+(i4 r0x1.999999999999ap-4 r0x1.5555555555555p-2)
+(i4 r0x1.999999999999ap-3 r0x1.5555555555555p-1)
+component 0
+  alternative 0x1.5555555555555p-2
+    c: (i1 r0x1.999999999999ap-4)
+  alternative 0x1.5555555555555p-2
+    c: (i2 r0x1.999999999999ap-3)
+  alternative 0x1.5555555555555p-2
+    c: (i4 r0x1.3333333333333p-2)
+component 1
+  alternative 0x1.5555555555555p-4
+    i: (i1 r0x1p+0 i1) (i4 r0x1.999999999999ap-4 i1)
+  alternative 0x1p-2
+    i: (i1 r0x1.4p+1 i3) (i4 r0x1.999999999999ap-4 i1)
+  alternative 0x1.5555555555555p-3
+    i: (i1 r0x1p+0 i1) (i4 r0x1.999999999999ap-3 i2)
+  alternative 0x1p-1
+    i: (i1 r0x1.4p+1 i3) (i4 r0x1.999999999999ap-3 i2)
+)");
+  EXPECT_EQ(stored(grouped),
+            R"(C [ W:INTEGER V:REAL ]
+I [ K:INTEGER V:REAL W:INTEGER ]
+T [ K:INTEGER V:REAL conf:REAL ]
+component 0
+  alternative 0x1.5555555555555p-2
+    c: (i1 r0x1.999999999999ap-4)
+  alternative 0x1.5555555555555p-2
+    c: (i2 r0x1.999999999999ap-3)
+  alternative 0x1.5555555555555p-2
+    c: (i4 r0x1.3333333333333p-2)
+component 1
+  alternative 0x1.2492492492492p-5
+    i: (i1 r0x1p+0 i1) (i4 r0x1.999999999999ap-4 i1)
+    t: (i1 r0x1p+0 r0x1p-2) (i1 r0x1.4p+1 r0x1.8p-1) (i4 r0x1.999999999999ap-4 r0x1p+0)
+  alternative 0x1.b6db6db6db6dbp-4
+    i: (i1 r0x1.4p+1 i3) (i4 r0x1.999999999999ap-4 i1)
+    t: (i1 r0x1p+0 r0x1p-2) (i1 r0x1.4p+1 r0x1.8p-1) (i4 r0x1.999999999999ap-4 r0x1p+0)
+  alternative 0x1.2492492492492p-4
+    i: (i1 r0x1p+0 i1) (i4 r0x1.999999999999ap-3 i2)
+    t: (i1 r0x1p+0 r0x1p-2) (i1 r0x1.4p+1 r0x1.8p-1) (i4 r0x1.999999999999ap-3 r0x1p+0)
+  alternative 0x1.b6db6db6db6dbp-3
+    i: (i1 r0x1.4p+1 i3) (i4 r0x1.999999999999ap-3 i2)
+    t: (i1 r0x1p+0 r0x1p-2) (i1 r0x1.4p+1 r0x1.8p-1) (i4 r0x1.999999999999ap-3 r0x1p+0)
+  alternative 0x1.2492492492492p-3
+    i: (i1 r0x1p+0 i1) (i4 r0x1.3333333333333p-2 i4)
+    t: (i1 r0x1p+0 r0x1p-2) (i1 r0x1.4p+1 r0x1.8p-1) (i4 r0x1.3333333333333p-2 r0x1p+0)
+  alternative 0x1.b6db6db6db6dbp-2
+    i: (i1 r0x1.4p+1 i3) (i4 r0x1.3333333333333p-2 i4)
+    t: (i1 r0x1p+0 r0x1p-2) (i1 r0x1.4p+1 r0x1.8p-1) (i4 r0x1.3333333333333p-2 r0x1p+0)
+)");
+  EXPECT_EQ(stored(join),
+            R"(C [ W:INTEGER V:REAL ]
+I [ K:INTEGER V:REAL W:INTEGER ]
+T [ K:INTEGER V:REAL conf:REAL ]
+(i1 r0x1.999999999999ap-4 r0x1.5555555555555p-4)
+(i4 r0x1.999999999999ap-4 r0x1.8618618618618p-5)
+(i4 r0x1.999999999999ap-3 r0x1.8618618618618p-4)
+(i4 r0x1.3333333333333p-2 r0x1.8618618618618p-3)
+component 0
+  alternative 0x1p-2
+    i: (i1 r0x1p+0 i1)
+  alternative 0x1.8p-1
+    i: (i1 r0x1.4p+1 i3)
+component 1
+  alternative 0x1.2492492492492p-3
+    i: (i4 r0x1.999999999999ap-4 i1)
+  alternative 0x1.2492492492492p-2
+    i: (i4 r0x1.999999999999ap-3 i2)
+  alternative 0x1.2492492492492p-1
+    i: (i4 r0x1.3333333333333p-2 i4)
+component 2
+  alternative 0x1.5555555555555p-2
+    c: (i1 r0x1.999999999999ap-4)
+  alternative 0x1.5555555555555p-2
+    c: (i2 r0x1.999999999999ap-3)
+  alternative 0x1.5555555555555p-2
+    c: (i4 r0x1.3333333333333p-2)
+)");
+  EXPECT_EQ(stored("select avg(V) from I;"),
+            R"(C [ W:INTEGER V:REAL ]
+I [ K:INTEGER V:REAL W:INTEGER ]
+T [ avg:REAL ]
+component 0
+  alternative 0x1.5555555555555p-2
+    c: (i1 r0x1.999999999999ap-4)
+  alternative 0x1.5555555555555p-2
+    c: (i2 r0x1.999999999999ap-3)
+  alternative 0x1.5555555555555p-2
+    c: (i4 r0x1.3333333333333p-2)
+component 1
+  alternative 0x1.2492492492492p-5
+    i: (i1 r0x1p+0 i1) (i4 r0x1.999999999999ap-4 i1)
+    t: (r0x1.199999999999ap-1)
+  alternative 0x1.b6db6db6db6dbp-4
+    i: (i1 r0x1.4p+1 i3) (i4 r0x1.999999999999ap-4 i1)
+    t: (r0x1.4cccccccccccdp+0)
+  alternative 0x1.2492492492492p-4
+    i: (i1 r0x1p+0 i1) (i4 r0x1.999999999999ap-3 i2)
+    t: (r0x1.3333333333333p-1)
+  alternative 0x1.b6db6db6db6dbp-3
+    i: (i1 r0x1.4p+1 i3) (i4 r0x1.999999999999ap-3 i2)
+    t: (r0x1.599999999999ap+0)
+  alternative 0x1.2492492492492p-3
+    i: (i1 r0x1p+0 i1) (i4 r0x1.3333333333333p-2 i4)
+    t: (r0x1.4cccccccccccdp-1)
+  alternative 0x1.b6db6db6db6dbp-2
+    i: (i1 r0x1.4p+1 i3) (i4 r0x1.3333333333333p-2 i4)
+    t: (r0x1.6666666666666p+0)
+)");
+  EXPECT_EQ(stored("select K, V from I repair by key W;"),
+            R"(C [ W:INTEGER V:REAL ]
+I [ K:INTEGER V:REAL W:INTEGER ]
+T [ K:INTEGER V:REAL ]
+component 0
+  alternative 0x1.5555555555555p-2
+    c: (i1 r0x1.999999999999ap-4)
+  alternative 0x1.5555555555555p-2
+    c: (i2 r0x1.999999999999ap-3)
+  alternative 0x1.5555555555555p-2
+    c: (i4 r0x1.3333333333333p-2)
+component 1
+  alternative 0x1.2492492492492p-6
+    i: (i1 r0x1p+0 i1) (i4 r0x1.999999999999ap-4 i1)
+    t: (i1 r0x1p+0)
+  alternative 0x1.2492492492492p-6
+    i: (i1 r0x1p+0 i1) (i4 r0x1.999999999999ap-4 i1)
+    t: (i4 r0x1.999999999999ap-4)
+  alternative 0x1.b6db6db6db6dbp-4
+    i: (i1 r0x1.4p+1 i3) (i4 r0x1.999999999999ap-4 i1)
+    t: (i4 r0x1.999999999999ap-4) (i1 r0x1.4p+1)
+  alternative 0x1.2492492492492p-4
+    i: (i1 r0x1p+0 i1) (i4 r0x1.999999999999ap-3 i2)
+    t: (i1 r0x1p+0) (i4 r0x1.999999999999ap-3)
+  alternative 0x1.b6db6db6db6dbp-3
+    i: (i1 r0x1.4p+1 i3) (i4 r0x1.999999999999ap-3 i2)
+    t: (i4 r0x1.999999999999ap-3) (i1 r0x1.4p+1)
+  alternative 0x1.2492492492492p-3
+    i: (i1 r0x1p+0 i1) (i4 r0x1.3333333333333p-2 i4)
+    t: (i1 r0x1p+0) (i4 r0x1.3333333333333p-2)
+  alternative 0x1.b6db6db6db6dbp-2
+    i: (i1 r0x1.4p+1 i3) (i4 r0x1.3333333333333p-2 i4)
+    t: (i1 r0x1.4p+1) (i4 r0x1.3333333333333p-2)
+)");
+
+  // MaterializeWorlds walks the product in the same order, component 0
+  // fastest, below and above the world count.
+  Session session(GoldenOptions());
+  LoadMergedSource(session);
+  auto worlds = [&session](size_t cap) {
+    bool truncated = false;
+    auto materialized = Wsd(session).MaterializeWorlds(cap, &truncated);
+    EXPECT_TRUE(materialized.ok()) << materialized.status().ToString();
+    if (!materialized.ok()) return std::string();
+    std::string out;
+    for (const World& world : *materialized) {
+      out += "world " + Hex(world.probability);
+      for (const char* rel : {"C", "I"}) {
+        auto table = world.db.GetRelation(rel);
+        EXPECT_TRUE(table.ok()) << table.status().ToString();
+        if (!table.ok()) continue;
+        out += std::string(" ") + rel + ":";
+        for (const Tuple& row : (*table)->rows()) out += " " + RenderRow(row);
+      }
+      out += "\n";
+    }
+    return out + (truncated ? "truncated\n" : "");
+  };
+  EXPECT_EQ(worlds(4),
+            R"(world 0x1.8618618618618p-7 C: (i1 r0x1.999999999999ap-4) I: (i1 r0x1p+0 i1) (i4 r0x1.999999999999ap-4 i1)
+world 0x1.2492492492492p-5 C: (i1 r0x1.999999999999ap-4) I: (i1 r0x1.4p+1 i3) (i4 r0x1.999999999999ap-4 i1)
+world 0x1.8618618618618p-6 C: (i1 r0x1.999999999999ap-4) I: (i1 r0x1p+0 i1) (i4 r0x1.999999999999ap-3 i2)
+world 0x1.2492492492492p-4 C: (i1 r0x1.999999999999ap-4) I: (i1 r0x1.4p+1 i3) (i4 r0x1.999999999999ap-3 i2)
+truncated
+)");
+  EXPECT_EQ(worlds(100),
+            R"(world 0x1.8618618618618p-7 C: (i1 r0x1.999999999999ap-4) I: (i1 r0x1p+0 i1) (i4 r0x1.999999999999ap-4 i1)
+world 0x1.2492492492492p-5 C: (i1 r0x1.999999999999ap-4) I: (i1 r0x1.4p+1 i3) (i4 r0x1.999999999999ap-4 i1)
+world 0x1.8618618618618p-6 C: (i1 r0x1.999999999999ap-4) I: (i1 r0x1p+0 i1) (i4 r0x1.999999999999ap-3 i2)
+world 0x1.2492492492492p-4 C: (i1 r0x1.999999999999ap-4) I: (i1 r0x1.4p+1 i3) (i4 r0x1.999999999999ap-3 i2)
+world 0x1.8618618618618p-5 C: (i1 r0x1.999999999999ap-4) I: (i1 r0x1p+0 i1) (i4 r0x1.3333333333333p-2 i4)
+world 0x1.2492492492492p-3 C: (i1 r0x1.999999999999ap-4) I: (i1 r0x1.4p+1 i3) (i4 r0x1.3333333333333p-2 i4)
+world 0x1.8618618618618p-7 C: (i2 r0x1.999999999999ap-3) I: (i1 r0x1p+0 i1) (i4 r0x1.999999999999ap-4 i1)
+world 0x1.2492492492492p-5 C: (i2 r0x1.999999999999ap-3) I: (i1 r0x1.4p+1 i3) (i4 r0x1.999999999999ap-4 i1)
+world 0x1.8618618618618p-6 C: (i2 r0x1.999999999999ap-3) I: (i1 r0x1p+0 i1) (i4 r0x1.999999999999ap-3 i2)
+world 0x1.2492492492492p-4 C: (i2 r0x1.999999999999ap-3) I: (i1 r0x1.4p+1 i3) (i4 r0x1.999999999999ap-3 i2)
+world 0x1.8618618618618p-5 C: (i2 r0x1.999999999999ap-3) I: (i1 r0x1p+0 i1) (i4 r0x1.3333333333333p-2 i4)
+world 0x1.2492492492492p-3 C: (i2 r0x1.999999999999ap-3) I: (i1 r0x1.4p+1 i3) (i4 r0x1.3333333333333p-2 i4)
+world 0x1.8618618618618p-7 C: (i4 r0x1.3333333333333p-2) I: (i1 r0x1p+0 i1) (i4 r0x1.999999999999ap-4 i1)
+world 0x1.2492492492492p-5 C: (i4 r0x1.3333333333333p-2) I: (i1 r0x1.4p+1 i3) (i4 r0x1.999999999999ap-4 i1)
+world 0x1.8618618618618p-6 C: (i4 r0x1.3333333333333p-2) I: (i1 r0x1p+0 i1) (i4 r0x1.999999999999ap-3 i2)
+world 0x1.2492492492492p-4 C: (i4 r0x1.3333333333333p-2) I: (i1 r0x1.4p+1 i3) (i4 r0x1.999999999999ap-3 i2)
+world 0x1.8618618618618p-5 C: (i4 r0x1.3333333333333p-2) I: (i1 r0x1p+0 i1) (i4 r0x1.3333333333333p-2 i4)
+world 0x1.2492492492492p-3 C: (i4 r0x1.3333333333333p-2) I: (i1 r0x1.4p+1 i3) (i4 r0x1.3333333333333p-2 i4)
+)");
+
+  Exec(session, "update I set V = V + 1 where K = 4;");
+  EXPECT_EQ(Structure(Wsd(session)),
+            R"(C [ W:INTEGER V:REAL ]
+I [ K:INTEGER V:REAL W:INTEGER ]
+component 0
+  alternative 0x1.5555555555555p-2
+    c: (i1 r0x1.999999999999ap-4)
+  alternative 0x1.5555555555555p-2
+    c: (i2 r0x1.999999999999ap-3)
+  alternative 0x1.5555555555555p-2
+    c: (i4 r0x1.3333333333333p-2)
+component 1
+  alternative 0x1.2492492492492p-5
+    i: (i1 r0x1p+0 i1) (i4 r0x1.199999999999ap+0 i1)
+  alternative 0x1.b6db6db6db6dbp-4
+    i: (i1 r0x1.4p+1 i3) (i4 r0x1.199999999999ap+0 i1)
+  alternative 0x1.2492492492492p-4
+    i: (i1 r0x1p+0 i1) (i4 r0x1.3333333333333p+0 i2)
+  alternative 0x1.b6db6db6db6dbp-3
+    i: (i1 r0x1.4p+1 i3) (i4 r0x1.3333333333333p+0 i2)
+  alternative 0x1.2492492492492p-3
+    i: (i1 r0x1p+0 i1) (i4 r0x1.4cccccccccccdp+0 i4)
+  alternative 0x1.b6db6db6db6dbp-2
+    i: (i1 r0x1.4p+1 i3) (i4 r0x1.4cccccccccccdp+0 i4)
+)");
 }
 
 }  // namespace
