@@ -49,8 +49,6 @@ Result<Value> ResolveColumn(const sql::ColumnRefExpr& ref,
                                : ref.qualifier + "." + ref.name));
 }
 
-Status IntegerOverflow() { return Status::RuntimeError("integer overflow"); }
-
 /// `a % b` for b != 0. INT64_MIN % -1 overflows in C++ (and traps on
 /// x86); every x % -1 is 0.
 int64_t Remainder(int64_t a, int64_t b) { return b == -1 ? 0 : a % b; }
@@ -296,9 +294,10 @@ Result<Value> EvalScalarFunction(const sql::FunctionCallExpr& call,
     if (!args[0].IsNumeric()) {
       return Status::TypeError(call.name + " requires a numeric argument");
     }
-    double v = args[0].NumericValue();
-    return Value::Integer(static_cast<int64_t>(
-        call.name == "floor" ? std::floor(v) : std::ceil(v)));
+    if (args[0].type() == DataType::kInteger) return args[0];
+    const double v = args[0].AsReal();
+    return Value::Real(call.name == "floor" ? std::floor(v) : std::ceil(v))
+        .CastTo(DataType::kInteger);
   }
   if (call.name == "sign") {
     MAYBMS_RETURN_NOT_OK(require_args(1));
@@ -326,18 +325,27 @@ Result<Value> EvalScalarFunction(const sql::FunctionCallExpr& call,
       return Status::InvalidArgument("substr takes 2 or 3 arguments");
     }
     if (args[0].is_null() || args[1].is_null()) return Value::Null();
-    if (args[0].type() != DataType::kText || !args[1].IsNumeric()) {
+    const bool has_len = args.size() == 3 && !args[2].is_null();
+    if (args[0].type() != DataType::kText || !args[1].IsNumeric() ||
+        (has_len && !args[2].IsNumeric())) {
       return Status::TypeError("substr(text, start [, length])");
     }
     const std::string& s = args[0].AsText();
     // 1-based start, clamped to the string (PostgreSQL-like).
-    int64_t start = static_cast<int64_t>(args[1].NumericValue());
-    int64_t len = args.size() == 3 && !args[2].is_null()
-                      ? static_cast<int64_t>(args[2].NumericValue())
-                      : static_cast<int64_t>(s.size()) + 1;
+    MAYBMS_ASSIGN_OR_RETURN(Value first, args[1].CastTo(DataType::kInteger));
+    const int64_t start = first.AsInteger();
+    int64_t len = static_cast<int64_t>(s.size()) + 1;
+    if (has_len) {
+      MAYBMS_ASSIGN_OR_RETURN(Value length, args[2].CastTo(DataType::kInteger));
+      len = length.AsInteger();
+    }
     if (len < 0) return Status::InvalidArgument("negative substr length");
     int64_t begin = std::max<int64_t>(start, 1);
-    int64_t end = start + len;  // exclusive, 1-based
+    // Exclusive, 1-based; saturates, since any end past the string is the
+    // string's end.
+    int64_t end = start > std::numeric_limits<int64_t>::max() - len
+                      ? std::numeric_limits<int64_t>::max()
+                      : start + len;
     if (begin >= end || begin > static_cast<int64_t>(s.size())) {
       return Value::Text("");
     }

@@ -193,12 +193,18 @@ std::string Value::ToString() const {
   return "?";
 }
 
+Status IntegerOverflow() { return Status::RuntimeError("integer overflow"); }
+
 Result<Value> Value::CastTo(DataType target) const {
   if (is_null() || target == type()) return *this;
   switch (target) {
     case DataType::kInteger:
       if (type() == DataType::kReal) {
-        return Value::Integer(static_cast<int64_t>(AsReal()));
+        // [-2^63, 2^63) holds every REAL that truncates into int64; NaN
+        // fails both comparisons.
+        const double v = AsReal();
+        if (!(v >= -0x1p63 && v < 0x1p63)) return IntegerOverflow();
+        return Value::Integer(static_cast<int64_t>(v));
       }
       if (type() == DataType::kText) {
         char* end = nullptr;

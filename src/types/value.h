@@ -25,6 +25,9 @@ const char* DataTypeToString(DataType type);
 /// TEXT/VARCHAR/STRING, BOOLEAN/BOOL).
 Result<DataType> DataTypeFromString(const std::string& name);
 
+/// The error of an INTEGER result that int64 cannot hold.
+Status IntegerOverflow();
+
 /// Three-valued logic truth value used by predicate evaluation.
 enum class Trivalent { kFalse = 0, kTrue = 1, kUnknown = 2 };
 
@@ -91,7 +94,9 @@ class Value {
   std::string ToString() const;
 
   /// Casts to `target`; numeric widening/narrowing and text parsing where
-  /// sensible. NULL casts to NULL of any type.
+  /// sensible. NULL casts to NULL of any type. A REAL truncates toward
+  /// zero into an INTEGER, or fails with IntegerOverflow() when NaN, ±inf
+  /// or outside int64.
   Result<Value> CastTo(DataType target) const;
 
  private:

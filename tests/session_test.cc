@@ -216,6 +216,60 @@ TEST_P(SessionTest, IntegerArithmeticIsChecked) {
   expect_rows("select certain count(*) from T;", {"(2)"});
 }
 
+// A REAL becomes an INTEGER only when it truncates into int64: cast,
+// floor/ceil and substr's start and length fail with "integer overflow"
+// on NaN, ±inf and out-of-range values instead of converting them with
+// undefined behaviour, and substr's end never overflows.
+TEST_P(SessionTest, RealToIntegerConversionsAreChecked) {
+  Session session((Options()));
+  ExecScript(session, R"sql(
+    create table T (A real, S text);
+    insert into T values (1e19, 'abc'), (-2.7, 'xyz');
+  )sql");
+  auto expect_overflow = [&session](const std::string& sql) {
+    auto r = session.Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kRuntimeError) << sql;
+    EXPECT_EQ(r.status().message(), "integer overflow") << sql;
+  };
+  expect_overflow("select cast(A as integer) from T;");
+  expect_overflow("select floor(A) from T;");
+  expect_overflow("select ceil(A) from T;");
+  expect_overflow("select cast(cast('nan' as real) as integer) from T;");
+  expect_overflow("select floor(cast('inf' as real)) from T;");
+  expect_overflow("select ceil(cast('-inf' as real)) from T;");
+  expect_overflow("select cast(9223372036854775807.0 as integer) from T;");
+  expect_overflow("select substr(S, 1e30) from T;");
+  expect_overflow("select substr(S, cast('nan' as real)) from T;");
+  expect_overflow("select substr(S, 1, -1e30) from T;");
+  // A non-numeric length is a type error, like a non-numeric start.
+  auto type_error = session.Execute("select substr(S, 1, 'x') from T;");
+  ASSERT_FALSE(type_error.ok());
+  EXPECT_EQ(type_error.status().code(), StatusCode::kTypeError);
+
+  auto expect_rows = [&session](const std::string& sql,
+                                std::vector<std::string> rows) {
+    QueryResult r = Exec(session, sql);
+    auto table = r.RequireTable();
+    ASSERT_TRUE(table.ok()) << sql << ": " << table.status().ToString();
+    ExpectRows(**table, std::move(rows));
+  };
+  // In range, a REAL still truncates toward zero; an INTEGER is exact.
+  expect_rows("select possible cast(A as integer), floor(A), ceil(A) "
+              "from T where A < 0;",
+              {"(-2, -3, -2)"});
+  expect_rows("select possible cast(-9223372036854775808.0 as integer), "
+              "floor(9223372036854775807), "
+              "ceil(-9223372036854775807 - 1) from T;",
+              {"(-9223372036854775808, 9223372036854775807, "
+               "-9223372036854775808)"});
+  expect_rows("select possible substr(S, 9223372036854775807, "
+              "9223372036854775807), "
+              "substr(S, -9223372036854775807 - 1, 9223372036854775807), "
+              "substr(S, 2.9, 1.9) from T;",
+              {"(, , b)", "(, , y)"});
+}
+
 // A quantified aggregate whose row or accumulator fails reports the
 // per-world executor's error on both engines: the decomposed engine's
 // aggregate fold hands such a statement back to world enumeration.
