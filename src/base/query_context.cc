@@ -25,19 +25,13 @@ uint64_t SteadyNowNs() {
 
 std::atomic<bool> PollTrip::armed_{false};
 std::atomic<uint64_t> PollTrip::remaining_{0};
-std::atomic<uint64_t> PollTrip::polls_{0};
 
 void PollTrip::Arm(uint64_t fail_after) {
   remaining_.store(fail_after, std::memory_order_relaxed);
-  polls_.store(0, std::memory_order_relaxed);
   armed_.store(true, std::memory_order_release);
 }
 
 void PollTrip::Disarm() { armed_.store(false, std::memory_order_release); }
-
-uint64_t PollTrip::PollsSinceArm() {
-  return polls_.load(std::memory_order_relaxed);
-}
 
 bool PollTrip::armed() { return armed_.load(std::memory_order_acquire); }
 
@@ -47,7 +41,6 @@ const char* PollTrip::Message() {
 
 bool PollTrip::Next() {
   if (!armed_.load(std::memory_order_acquire)) return false;
-  polls_.fetch_add(1, std::memory_order_relaxed);
   uint64_t remaining = remaining_.load(std::memory_order_relaxed);
   while (remaining > 0) {
     if (remaining_.compare_exchange_weak(remaining, remaining - 1,

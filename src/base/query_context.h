@@ -78,10 +78,6 @@ class PollTrip {
   static void Arm(uint64_t fail_after);
   static void Disarm();
 
-  /// Polls intercepted since the last Arm; the battery uses it to count
-  /// a statement's kill points.
-  static uint64_t PollsSinceArm();
-
   static bool armed();
 
   /// Internal (QueryContext::Check): true when this poll must fail.
@@ -93,7 +89,6 @@ class PollTrip {
  private:
   static std::atomic<bool> armed_;
   static std::atomic<uint64_t> remaining_;
-  static std::atomic<uint64_t> polls_;
 };
 
 /// Per-statement governance state. Thread-safe: one statement's workers
@@ -134,12 +129,6 @@ class QueryContext {
   bool governed() const;
 
   const GovernanceLimits& limits() const { return limits_; }
-  uint64_t worlds_charged() const {
-    return worlds_.load(std::memory_order_relaxed);
-  }
-  uint64_t bytes_charged() const {
-    return bytes_.load(std::memory_order_relaxed);
-  }
 
   /// Check the deadline clock every this many polls per thread.
   static constexpr uint64_t kDeadlineCheckInterval = 16;

@@ -27,13 +27,6 @@ bool StatementHasAggregates(const sql::SelectStatement& stmt) {
   return false;
 }
 
-Result<Table> ExecuteFromWhere(const sql::SelectStatement& stmt,
-                               const Database& db, const EvalContext* outer) {
-  MAYBMS_ASSIGN_OR_RETURN(PreparedFromWhere plan,
-                          PreparedFromWhere::Prepare(stmt, db, outer));
-  return plan.Execute(db, outer);
-}
-
 Result<Table> ExecuteSelect(const sql::SelectStatement& stmt,
                             const Database& db, const EvalContext* outer) {
   MAYBMS_ASSIGN_OR_RETURN(PreparedSelect plan,

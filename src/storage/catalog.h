@@ -119,8 +119,6 @@ class Database {
   /// Relation names in deterministic (sorted) order, original case.
   std::vector<std::string> RelationNames() const;
 
-  size_t num_relations() const { return relations_.size(); }
-
   /// Two worlds are equal iff they have the same relations with set-equal
   /// contents. Used by group-worlds-by and tests.
   bool ContentEquals(const Database& other) const;

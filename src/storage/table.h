@@ -62,10 +62,6 @@ class Table {
 #endif
 
   const Schema& schema() const { return schema_; }
-  Schema* mutable_schema() {
-    AssertUnshared();
-    return &schema_;
-  }
 
   size_t num_rows() const { return rows_.size(); }
   bool empty() const { return rows_.empty(); }

@@ -1,5 +1,8 @@
 #include "worlds/component.h"
 
+#include <limits>
+#include <utility>
+
 #include "base/query_context.h"
 
 namespace maybms::worlds {
@@ -46,47 +49,70 @@ Status Component::Normalize() {
   return Status::OK();
 }
 
+Product::Product(std::vector<const Component*> parts)
+    : parts_(std::move(parts)) {
+  for (const Component* part : parts_) AddPart(part->size());
+}
+
+void Product::AddPart(uint64_t radix) {
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  radices_.push_back(radix);
+  saturated_ = saturated_ || (radix != 0 && size_ > kMax / radix);
+  size_ = saturated_ ? kMax : size_ * radix;
+}
+
+std::vector<const Alternative*> Product::Chosen(uint64_t i) const {
+  std::vector<const Alternative*> chosen;
+  chosen.reserve(parts_.size());
+  Decode(i, [&](size_t k, size_t d) {
+    chosen.push_back(&parts_[k]->alternatives[d]);
+  });
+  return chosen;
+}
+
+double Product::Probability(uint64_t i) const {
+  double probability = 1.0;
+  Decode(i, [&](size_t k, size_t d) {
+    probability *= parts_[k]->alternatives[d].probability;
+  });
+  return probability;
+}
+
+Alternative Product::Merged(uint64_t i) const {
+  Alternative merged;
+  for (const Alternative* alt : Chosen(i)) {
+    merged.probability *= alt->probability;
+    for (const auto& [rel, tuples] : alt->tuples) {
+      auto& dst = merged.tuples[rel];
+      dst.insert(dst.end(), tuples.begin(), tuples.end());
+    }
+  }
+  return merged;
+}
+
+Result<Product> MergeProduct(std::vector<const Component*> parts,
+                             size_t max_alternatives) {
+  Product product(std::move(parts));
+  if (product.size() == 0) {
+    return Status::EmptyWorldSet("component with no alternatives");
+  }
+  if (product.Exceeds(max_alternatives == 0
+                          ? std::numeric_limits<uint64_t>::max()
+                          : max_alternatives)) {
+    return MergeCapExceeded(max_alternatives);
+  }
+  return product;
+}
+
 Result<Component> MergeComponents(const std::vector<const Component*>& parts,
                                   size_t max_alternatives) {
+  MAYBMS_ASSIGN_OR_RETURN(Product product,
+                          MergeProduct(parts, max_alternatives));
   Component merged;
-  if (parts.empty()) {
-    merged.alternatives.push_back(Alternative{});  // the trivial choice
-    return merged;
-  }
-
-  uint64_t total = 1;
-  for (const Component* part : parts) {
-    if (part->alternatives.empty()) {
-      return Status::EmptyWorldSet("component with no alternatives");
-    }
-    total *= static_cast<uint64_t>(part->size());
-    if (max_alternatives != 0 && total > max_alternatives) {
-      return MergeCapExceeded(max_alternatives);
-    }
-  }
-
-  merged.alternatives.reserve(static_cast<size_t>(total));
-  std::vector<size_t> pick(parts.size(), 0);
-  while (true) {
+  merged.alternatives.reserve(product.size());
+  for (uint64_t i = 0; i < product.size(); ++i) {
     MAYBMS_RETURN_NOT_OK(base::GovernPoll());
-    Alternative combo;
-    combo.probability = 1.0;
-    for (size_t i = 0; i < parts.size(); ++i) {
-      const Alternative& alt = parts[i]->alternatives[pick[i]];
-      combo.probability *= alt.probability;
-      for (const auto& [rel, tuples] : alt.tuples) {
-        auto& dst = combo.tuples[rel];
-        dst.insert(dst.end(), tuples.begin(), tuples.end());
-      }
-    }
-    merged.alternatives.push_back(std::move(combo));
-
-    size_t i = 0;
-    for (; i < parts.size(); ++i) {
-      if (++pick[i] < parts[i]->size()) break;
-      pick[i] = 0;
-    }
-    if (i == parts.size()) break;
+    merged.alternatives.push_back(product.Merged(i));
   }
   return merged;
 }

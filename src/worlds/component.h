@@ -2,6 +2,7 @@
 #define MAYBMS_WORLDS_COMPONENT_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -42,12 +43,55 @@ struct Component {
   Status Normalize();
 };
 
-/// Flattens the product of `parts` into a single component whose
-/// alternatives are all combinations, with merged contributions and
-/// product probabilities. The result size is the product of the part
-/// sizes; `max_alternatives` guards against explosion (0 = unlimited).
-/// A part without alternatives is an error. Polls governance once per
-/// combination.
+/// The combinations of independent parts — components, a decomposed
+/// answer's factors, a repair's key groups — numbered in the one order
+/// every walk over them uses: ordinal i picks digit d_k of part k, digit 0
+/// least significant, so part 0 varies fastest.
+class Product {
+ public:
+  Product() = default;
+  /// The product of `parts`' alternatives; the parts must outlive it.
+  explicit Product(std::vector<const Component*> parts);
+
+  /// Appends a part of `radix` choices (a product not of components).
+  void AddPart(uint64_t radix);
+
+  /// The number of ordinals, saturating at uint64 max.
+  uint64_t size() const { return size_; }
+  /// True if there are more than `cap` ordinals, or than uint64 counts.
+  bool Exceeds(uint64_t cap) const { return saturated_ || size_ > cap; }
+
+  /// Calls visit(k, d_k) for every part k of ordinal `i`, part 0 first.
+  template <typename Visit>
+  void Decode(uint64_t i, Visit&& visit) const {
+    for (size_t k = 0; k < radices_.size(); ++k) {
+      visit(k, static_cast<size_t>(i % radices_[k]));
+      i /= radices_[k];
+    }
+  }
+
+  // Of a product of components: ordinal i's alternatives in part order,
+  // its probability 1.0 × p_0 × p_1 × … in part order, and both flattened
+  // into one alternative (each relation's chosen tuples in part order).
+  std::vector<const Alternative*> Chosen(uint64_t i) const;
+  double Probability(uint64_t i) const;
+  Alternative Merged(uint64_t i) const;
+
+ private:
+  std::vector<const Component*> parts_;
+  std::vector<uint64_t> radices_;
+  uint64_t size_ = 1;
+  bool saturated_ = false;
+};
+
+/// The product of `parts` checked as a merge into one component: an error
+/// if a part has no alternatives or there are more than
+/// `max_alternatives` ordinals (0 = no cap but uint64's).
+Result<Product> MergeProduct(std::vector<const Component*> parts,
+                             size_t max_alternatives);
+
+/// MergeProduct(parts, max_alternatives) flattened into one component,
+/// one alternative per ordinal. Polls governance once per alternative.
 Result<Component> MergeComponents(const std::vector<const Component*>& parts,
                                   size_t max_alternatives);
 

@@ -15,7 +15,6 @@
 #include "base/string_util.h"
 #include "base/thread_pool.h"
 #include "engine/dml.h"
-#include "engine/executor.h"
 #include "engine/expr_eval.h"
 #include "engine/planner.h"
 #include "engine/prepared.h"
@@ -191,7 +190,7 @@ using Folded = std::optional<DecomposedResult>;
 /// merge cap (`max_merge`, 0 = none) only refuses what merging would.
 ///
 /// Returns one factor of one-row answers, one per final state, in the
-/// order of the first world (odometer ordinal) reaching it — the order the
+/// order of the first world (Product ordinal) reaching it — the order the
 /// merged path feeds its combiner. Returns nullopt when a row or an
 /// accumulator fails: the caller then enumerates, which reports the error
 /// exactly as before.
@@ -266,8 +265,8 @@ Result<Folded> FoldAggregates(
     // Indices of next's states, by state.
     std::unordered_set<size_t, decltype(hash), decltype(same)> index(
         16, hash, same);
-    // Alternatives outermost: a component's ordinal stride exceeds every
-    // earlier ordinal, so states are created in first-world order.
+    // Alternatives outermost: a component's stride in Product order exceeds
+    // every earlier ordinal, so states are created in first-world order.
     for (size_t a = 0; a < part->size(); ++a) {
       const double p = part->alternatives[a].probability;
       for (size_t s = 0; s < probs.size(); ++s) {
@@ -395,13 +394,14 @@ Result<Table> CombineFactors(sql::WorldQuantifier quantifier,
 }
 
 /// A plain SELECT's per-world listing of a decomposed answer: the product
-/// of its factors in odometer order (no other component changes the
+/// of its factors in Product order (no other component changes the
 /// answer), capped at `max_worlds`.
 Status ListFactorWorlds(const DecomposedResult& dec, size_t max_worlds,
                         SelectEvaluation* eval) {
   const std::vector<Factor>& factors = dec.factors;
-  std::vector<size_t> pick(factors.size(), 0);
-  while (true) {
+  Product product;
+  for (const Factor& f : factors) product.AddPart(f.alternatives.size());
+  for (uint64_t i = 0; i < product.size(); ++i) {
     if (eval->per_world.size() >= max_worlds) {
       eval->truncated = true;
       break;
@@ -409,19 +409,12 @@ Status ListFactorWorlds(const DecomposedResult& dec, size_t max_worlds,
     MAYBMS_RETURN_NOT_OK(base::GovernChargeWorlds(1));
     double prob = 1.0;
     Table world = dec.certain;
-    for (size_t f = 0; f < factors.size(); ++f) {
-      const auto& [p, answer] = factors[f].alternatives[pick[f]];
+    product.Decode(i, [&](size_t f, size_t d) {
+      const auto& [p, answer] = factors[f].alternatives[d];
       prob *= p;
       for (const Tuple& t : answer.rows()) world.AppendUnchecked(t);
-    }
+    });
     eval->per_world.emplace_back(prob, std::move(world));
-
-    size_t f = 0;
-    for (; f < factors.size(); ++f) {
-      if (++pick[f] < factors[f].alternatives.size()) break;
-      pick[f] = 0;
-    }
-    if (f == factors.size()) break;
   }
   return Status::OK();
 }
@@ -431,9 +424,12 @@ Status ListFactorWorlds(const DecomposedResult& dec, size_t max_worlds,
 struct DecomposedWorldSet::PipelineOutput {
   SelectEvaluation eval;                       // combined / groups
   std::optional<DecomposedResult> decomposed;  // per-component sources
-  bool certain = false;  // the fold ran over the certain core alone
-  Component source;      // else: the local worlds the fold derived from
-  std::vector<size_t> replaced;  // components merged into `source`
+  /// Else: the relevant product the fold derived its worlds from (it
+  /// points into components_), its components, and whether it was the
+  /// certain core alone without a repair/choice.
+  std::optional<Product> source;
+  std::vector<size_t> replaced;
+  bool certain = false;
 };
 
 DecomposedWorldSet::DecomposedWorldSet(size_t max_merge, size_t threads)
@@ -444,16 +440,9 @@ std::unique_ptr<WorldSet> DecomposedWorldSet::Clone() const {
 }
 
 uint64_t DecomposedWorldSet::NumWorlds() const {
-  uint64_t total = 1;
-  for (const Component& c : components_) {
-    uint64_t size = static_cast<uint64_t>(c.size());
-    if (size != 0 &&
-        total > std::numeric_limits<uint64_t>::max() / size) {
-      return std::numeric_limits<uint64_t>::max();  // saturate
-    }
-    total *= size;
-  }
-  return total;
+  Product product;
+  for (const Component& c : components_) product.AddPart(c.size());
+  return product.size();
 }
 
 double DecomposedWorldSet::Log10NumWorlds() const {
@@ -493,32 +482,19 @@ Result<std::vector<World>> DecomposedWorldSet::MaterializeWorlds(
     size_t max_worlds, bool* truncated) const {
   std::vector<World> worlds;
   if (truncated != nullptr) *truncated = false;
-
-  std::vector<size_t> pick(components_.size(), 0);
-  while (true) {
+  std::vector<const Component*> parts;
+  for (const Component& c : components_) parts.push_back(&c);
+  const Product product(std::move(parts));
+  for (uint64_t i = 0; i < product.size(); ++i) {
     if (worlds.size() >= max_worlds) {
       if (truncated != nullptr) *truncated = true;
       break;
     }
-    // Each odometer step materializes one full world (a database copy):
-    // charge it against the world budget, which also polls.
+    // Each ordinal materializes one full world (a database copy): charge
+    // it against the world budget, which also polls.
     MAYBMS_RETURN_NOT_OK(base::GovernChargeWorlds(1));
-    std::vector<const Alternative*> chosen;
-    double prob = 1.0;
-    chosen.reserve(components_.size());
-    for (size_t i = 0; i < components_.size(); ++i) {
-      const Alternative& alt = components_[i].alternatives[pick[i]];
-      chosen.push_back(&alt);
-      prob *= alt.probability;
-    }
-    worlds.emplace_back(BuildLocalDatabase(chosen), prob);
-
-    size_t i = 0;
-    for (; i < components_.size(); ++i) {
-      if (++pick[i] < components_[i].size()) break;
-      pick[i] = 0;
-    }
-    if (i == components_.size()) break;
+    worlds.emplace_back(BuildLocalDatabase(product.Chosen(i)),
+                        product.Probability(i));
   }
   return worlds;
 }
@@ -647,12 +623,12 @@ std::vector<size_t> DecomposedWorldSet::RelevantComponents(
   return indices;
 }
 
-Result<Component> DecomposedWorldSet::MergeRelevant(
+std::vector<const Component*> DecomposedWorldSet::Parts(
     const std::vector<size_t>& indices) const {
   std::vector<const Component*> parts;
   parts.reserve(indices.size());
   for (size_t i : indices) parts.push_back(&components_[i]);
-  return MergeComponents(parts, max_merge_);
+  return parts;
 }
 
 Status DecomposedWorldSet::ApplyDml(const sql::Statement& stmt,
@@ -703,38 +679,34 @@ Status DecomposedWorldSet::ApplyDml(const sql::Statement& stmt,
 
   // General path: the update's effect may differ per world. Merge the
   // relevant components; apply the update in each local world; the target
-  // relation becomes per-alternative content.
-  MAYBMS_ASSIGN_OR_RETURN(Component merged, MergeRelevant(relevant));
-  std::string target_lower = AsciiToLower(target);
+  // relation becomes per-alternative content: the merged component carries
+  // each world's full contents of it, and its certain part becomes empty.
+  // Nothing is committed unless every world succeeds.
+  MAYBMS_ASSIGN_OR_RETURN(Component merged,
+                          MergeComponents(Parts(relevant), max_merge_));
+  const std::string target_lower = AsciiToLower(target);
   base::ThreadPool& pool = base::ThreadPool::Shared();
-  const size_t n = merged.size();
-  std::vector<Table> new_contents(n);
   // A PreparedDml caches per-execution state, so each slot gets its own;
   // slot 0 adopts the plan prepared above (preparation errors already
   // surfaced there, exactly as in the sequential path).
   std::vector<std::optional<engine::PreparedDml>> plans(pool.Slots(threads_));
   plans[0].emplace(std::move(plan));
   MAYBMS_RETURN_NOT_OK(pool.ParallelFor(
-      n, threads_, [&](size_t i, size_t slot, size_t) -> Status {
+      merged.size(), threads_, [&](size_t i, size_t slot, size_t) -> Status {
         if (!plans[slot].has_value()) {
           MAYBMS_ASSIGN_OR_RETURN(
               plans[slot], engine::PreparedDml::Prepare(stmt, certain_,
                                                         &catalog));
         }
-        Database local = BuildLocalDatabase({&merged.alternatives[i]});
+        Alternative& alt = merged.alternatives[i];
+        Database local = BuildLocalDatabase({&alt});
         // All-or-nothing per world.
         MAYBMS_RETURN_NOT_OK(plans[slot]->Execute(&local));
         MAYBMS_ASSIGN_OR_RETURN(const Table* updated,
                                 local.GetRelation(target));
-        new_contents[i] = *updated;
+        alt.tuples[target_lower] = updated->rows();
         return Status::OK();
       }));
-
-  // Commit: the merged component carries the full per-world contents of
-  // the target relation; its certain part becomes empty.
-  for (size_t i = 0; i < merged.alternatives.size(); ++i) {
-    merged.alternatives[i].tuples[target_lower] = new_contents[i].rows();
-  }
   // The target's contents moved into the merged component: swap an empty
   // instance into the core instead of cloning a (possibly shared) table
   // just to clear it.
@@ -855,11 +827,9 @@ Result<DecomposedWorldSet::PipelineOutput> DecomposedWorldSet::RunPipeline(
              stmt.quantifier != sql::WorldQuantifier::kNone &&
              IsSingleRelationScan(stmt, referenced) &&
              IsFoldableAggregateList(stmt)) {
-    std::vector<const Component*> parts;
-    parts.reserve(relevant.size());
-    for (size_t i : relevant) parts.push_back(&components_[i]);
-    MAYBMS_ASSIGN_OR_RETURN(out.decomposed,
-                            FoldAggregates(stmt, certain_, parts, max_merge_));
+    MAYBMS_ASSIGN_OR_RETURN(
+        out.decomposed,
+        FoldAggregates(stmt, certain_, Parts(relevant), max_merge_));
   }
   if (out.decomposed.has_value()) {
     if (stmt.quantifier != sql::WorldQuantifier::kNone) {
@@ -870,41 +840,31 @@ Result<DecomposedWorldSet::PipelineOutput> DecomposedWorldSet::RunPipeline(
     return out;
   }
 
-  if (!fans_out && relevant.empty()) {
-    // Entirely certain input: one world, one evaluation.
-    out.certain = true;
-    MAYBMS_ASSIGN_OR_RETURN(
-        Table result, engine::ExecuteSelect(*StripWorldOps(stmt), certain_));
-    fold->Begin(1);
-    MAYBMS_RETURN_NOT_OK(
-        fold->Feed(0, 0, 0, 0, 1.0, certain_, std::move(result)));
-    MAYBMS_RETURN_NOT_OK(fold->End());
-  } else {
-    // Enumerate the relevant sub-product — with no relevant component,
-    // the certain core alone — and derive the worlds from its local
-    // worlds. The core is planned once per slot against the shared
-    // schemas (local worlds only append rows).
-    MAYBMS_ASSIGN_OR_RETURN(out.source, MergeRelevant(relevant));
-    out.replaced = relevant;
-    const Component& source = out.source;
-    InputWorlds inputs{
-        source.size(),
-        [&](size_t i, Database* scratch) -> const Database& {
-          *scratch = BuildLocalDatabase({&source.alternatives[i]});
-          return *scratch;
-        },
-        [&](size_t i) { return source.alternatives[i].probability; }};
-    const std::string cap = std::to_string(max_merge_);
-    MAYBMS_RETURN_NOT_OK(EnumerateWorlds(
-        inputs, stmt,
-        max_merge_ == 0 ? std::numeric_limits<uint64_t>::max() : max_merge_,
-        relevant.empty()
-            ? "component merge would exceed " + cap +
-                  " alternatives; the query correlates too many components"
-            : "repair/choice over an uncertain source exceeds the merge "
-              "cap of " + cap + " alternatives",
-        threads_, fold));
-  }
+  // Derive the worlds from the relevant product's ordinals: local world i
+  // is the certain core plus ordinal i's alternatives, and the product
+  // itself is never materialized. With no relevant component it is the
+  // certain core alone, one world. The core is planned once per slot
+  // against the shared schemas (local worlds only append rows).
+  out.certain = !fans_out && relevant.empty();
+  MAYBMS_ASSIGN_OR_RETURN(out.source,
+                          MergeProduct(Parts(relevant), max_merge_));
+  out.replaced = relevant;
+  const Product& source = *out.source;
+  InputWorlds inputs{
+      source.size(),
+      [this, &source](size_t i, Database* scratch) -> const Database& {
+        *scratch = BuildLocalDatabase(source.Chosen(i));
+        return *scratch;
+      },
+      [&source](size_t i) { return source.Probability(i); }};
+  MAYBMS_RETURN_NOT_OK(EnumerateWorlds(
+      inputs, stmt,
+      max_merge_ == 0 ? std::numeric_limits<uint64_t>::max() : max_merge_,
+      relevant.empty()
+          ? MergeCapExceeded(max_merge_).message()
+          : "repair/choice over an uncertain source exceeds the merge cap "
+            "of " + std::to_string(max_merge_) + " alternatives",
+      threads_, fold));
   MAYBMS_ASSIGN_OR_RETURN(out.eval, fold->Finish());
   return out;
 }
@@ -950,19 +910,18 @@ Status DecomposedWorldSet::MaterializeSelect(const std::string& name,
   if (!out.decomposed.has_value()) {
     // The kept worlds replace the components they derive from, each
     // storing its answer (or, under a quantifier, nothing: the combined
-    // answer is certain).
-    const bool fans_out = stmt.repair.has_value() || stmt.choice.has_value();
+    // answer is certain). All are built before any component changes:
+    // the source product points into components_.
     Component derived;
     derived.alternatives.reserve(kept.size());
     for (FoldedWorld& world : kept) {
       MAYBMS_RETURN_NOT_OK(base::GovernPoll());
-      Alternative& source = out.source.alternatives[world.input];
-      derived.alternatives.push_back(fans_out ? Alternative(source)
-                                              : std::move(source));
-      Alternative& alt = derived.alternatives.back();
+      Alternative& alt =
+          derived.alternatives.emplace_back(out.source->Merged(world.input));
       alt.probability = world.probability;
       if (!combined.has_value()) alt.tuples[lower] = world.answer->rows();
     }
+    out.source.reset();
     std::sort(out.replaced.rbegin(), out.replaced.rend());
     for (size_t i : out.replaced) {
       components_.erase(components_.begin() + static_cast<long>(i));

@@ -16,8 +16,8 @@
 //    probabilities sum to 1 within its component, and world probability
 //    is the product over components. Operations that would correlate
 //    components (joins of uncertain relations, assert, group worlds by,
-//    DML touching them) first merge the RELEVANT components only — never
-//    the full product.
+//    DML touching them) read the RELEVANT components' Product by ordinal
+//    — never the full product, and merged only where stored (DML).
 //  * Query plans are schema-only and never capture alternative contents;
 //    per-world state (subquery materializations, hash indexes) lives in
 //    per-execution caches (engine/planner.h).
@@ -65,12 +65,12 @@ namespace maybms::worlds {
 /// 1 − ∏_f (1 − p_f(t))). Only `assert`, `group worlds by`, and queries
 /// that genuinely correlate components (joins of uncertain relations,
 /// subqueries, other aggregate shapes) enumerate the *relevant*
-/// sub-product and merge those components — never the full world-set.
+/// sub-product by ordinal — never the full world-set, never a merged copy.
 class DecomposedWorldSet : public WorldSet {
  public:
-  /// `max_merge` caps the alternatives a single merge may produce (the
-  /// correlated sub-product); 0 = unlimited. `threads` caps the shared
-  /// thread pool's parallelism for per-alternative loops (0 =
+  /// `max_merge` caps the worlds of a correlated sub-product, and so the
+  /// alternatives a merge may produce; 0 = unlimited. `threads` caps the
+  /// shared thread pool's parallelism for per-alternative loops (0 =
   /// MAYBMS_THREADS / hardware); results and errors are byte-identical at
   /// every thread count (see base/thread_pool.h).
   static constexpr size_t kDefaultMaxMerge = 1 << 20;
@@ -104,7 +104,6 @@ class DecomposedWorldSet : public WorldSet {
   Status FromSnapshot(const storage::DurableSnapshot& snapshot) override;
 
   /// Introspection for tests and benchmarks.
-  const Database& certain_part() const { return certain_; }
   const std::vector<Component>& components() const { return components_; }
   size_t num_components() const { return components_.size(); }
 
@@ -126,13 +125,13 @@ class DecomposedWorldSet : public WorldSet {
       const std::set<std::string>& relations) const;
 
   /// Builds the database of one local world: the certain core plus the
-  /// contributions of the given alternatives.
+  /// contributions of the given alternatives, appended in order.
   Database BuildLocalDatabase(const std::vector<const Alternative*>& chosen)
       const;
 
-  /// Merges the given components into a single flattened component
-  /// (enumerating their sub-product, capped by max_merge_).
-  Result<Component> MergeRelevant(const std::vector<size_t>& indices) const;
+  /// Pointers to the components at `indices`: the parts of their Product.
+  std::vector<const Component*> Parts(const std::vector<size_t>& indices)
+      const;
 
   Database certain_;
   std::vector<Component> components_;

@@ -1,6 +1,5 @@
 #include "worlds/world_set.h"
 
-#include <limits>
 #include <optional>
 #include <utility>
 
@@ -11,6 +10,7 @@
 #include "engine/expr_eval.h"
 #include "engine/prepared.h"
 #include "worlds/combiner.h"
+#include "worlds/component.h"
 #include "worlds/partition.h"
 
 namespace maybms::worlds {
@@ -149,16 +149,10 @@ Status EnumerateWorlds(const InputWorlds& inputs,
       MAYBMS_ASSIGN_OR_RETURN(blocks, ChoicePartition(source, *stmt.choice));
     }
     // Checked against the cap before any combination runs.
-    uint64_t combos = 1;
-    for (const PartitionBlock& block : blocks) {
-      const uint64_t choices = block.choices.size();
-      if (choices != 0 &&
-          combos > std::numeric_limits<uint64_t>::max() / choices) {
-        return Status::Unsupported(cap_error);
-      }
-      combos *= choices;
-      if (combos > cap - produced) return Status::Unsupported(cap_error);
-    }
+    Product fan;
+    for (const PartitionBlock& b : blocks) fan.AddPart(b.choices.size());
+    if (fan.Exceeds(cap - produced)) return Status::Unsupported(cap_error);
+    const uint64_t combos = fan.size();
     produced += combos;
     // The fan-out is THE world-budget charge site: combos derived worlds
     // come into existence here whichever pipeline consumes them.
@@ -174,19 +168,16 @@ Status EnumerateWorlds(const InputWorlds& inputs,
                                         *core, db,
                                         source_plan->output_schema()));
           }
-          // Decode combination c: digit b picks block b's choice. An empty
-          // block list (repair of an empty relation) yields exactly the
-          // single empty choice c == 0.
+          // Combination c picks choice d of block b. An empty block list
+          // (repair of an empty relation) yields exactly the single empty
+          // choice c == 0.
           double prob = probability;
           std::vector<Tuple> chosen;
-          uint64_t rem = c;
-          for (const PartitionBlock& block : blocks) {
-            const WeightedChoice& choice =
-                block.choices[rem % block.choices.size()];
-            rem /= block.choices.size();
+          fan.Decode(c, [&](size_t b, size_t d) {
+            const WeightedChoice& choice = blocks[b].choices[d];
             prob *= choice.probability;
             for (size_t r : choice.row_indices) chosen.push_back(source.row(r));
-          }
+          });
           MAYBMS_ASSIGN_OR_RETURN(Table answer,
                                   projections[slot]->Execute(db, chosen));
           MAYBMS_RETURN_NOT_OK(ChargeAnswer(answer));

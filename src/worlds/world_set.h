@@ -202,7 +202,8 @@ class WorldFold;
 /// The worlds a pipeline derives its worlds from: input world i has
 /// probability `probability(i)` and database `db(i, scratch)`, which
 /// either returns a stored database or builds one into `*scratch` (the
-/// decomposed engine's local worlds). Both are called from pool threads.
+/// decomposed engine's local world of a Product ordinal). Both are called
+/// from pool threads, during EnumerateWorlds only.
 struct InputWorlds {
   size_t size = 0;
   std::function<const Database&(size_t i, Database* scratch)> db;
@@ -214,11 +215,11 @@ struct InputWorlds {
 /// `choice of` one world per repair/choice combination of each input
 /// world. Worlds run on the shared pool (`threads` caps it) with plans
 /// prepared once per thread slot; input worlds of a fan-out advance in
-/// sequence, and combination `c` of one is decoded from the per-block
-/// mixed-radix odometer (block 0 least significant), so derivation order,
-/// probability products and the first error are those of the sequential
-/// walk at any thread count. The fan-out is the world-budget charge site;
-/// more than `cap` derived worlds fail with Unsupported(`cap_error`).
+/// sequence, and combination `c` of one is ordinal `c` of the Product of
+/// its partition blocks, so derivation order, probability products and
+/// the first error are those of the sequential walk at any thread count.
+/// The fan-out is the world-budget charge site; more than `cap` derived
+/// worlds fail with Unsupported(`cap_error`) before any of them runs.
 Status EnumerateWorlds(const InputWorlds& inputs,
                        const sql::SelectStatement& stmt, uint64_t cap,
                        const std::string& cap_error, size_t threads,

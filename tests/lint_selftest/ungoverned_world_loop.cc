@@ -1,7 +1,8 @@
 // maybms-lint-fixture: src/worlds/fixture_world_set.cc
 // Known-bad fixture: per-world loops with no governance. A range-for
-// over a worlds collection, or an endless loop that advances an odometer
-// over a product of components, must poll the statement budget — in the
+// over a worlds collection, an endless loop that advances an odometer
+// over a product of components, or an index loop that decodes a product
+// ordinal, must poll the statement budget — in the
 // body, or directly above it (the poll-before-mutate idiom for loops a
 // mid-loop abort would tear) — or be routed through ParallelFor. The
 // fixture pretends to live in src/worlds/, where the rule applies, and
@@ -11,6 +12,16 @@ namespace maybms::worlds {
 
 struct World {
   double probability;
+};
+
+struct Product {
+  unsigned long size() const { return 4; }
+  template <typename Visit>
+  void Decode(unsigned long i, Visit visit) const {
+    visit(0, static_cast<int>(i));
+  }
+  double Chosen(unsigned long) const { return 0; }
+  double Merged(unsigned long) const { return 0; }
 };
 
 struct Fixture {
@@ -54,6 +65,19 @@ struct Fixture {
     (void)combinations;
   }
 
+  // One pass per ordinal of a product (worlds::Product).
+  void UngovernedOrdinals(const Product& product) {
+    double total = 0;
+    for (unsigned long i = 0; i < product.size(); ++i) {  // expect-lint: ungoverned-world-loop
+      product.Decode(i, [&total](int, int d) { total += d; });
+    }
+    for (unsigned long i = 0; i < product.size(); ++i)  // expect-lint: ungoverned-world-loop
+      total += product.Merged(i);
+    // An index loop that decodes no ordinal is out of scope.
+    for (unsigned long i = 0; i < product.size(); ++i) total += 1;
+    (void)total;
+  }
+
   void GovernedOdometer(int (&sizes)[4]) {
     int pick[4] = {0, 0, 0, 0};
     while (true) {
@@ -65,6 +89,15 @@ struct Fixture {
       }
       if (i == 4) break;
     }
+  }
+
+  void GovernedOrdinals(const Product& product) {
+    double total = 0;
+    for (unsigned long i = 0; i < product.size(); ++i) {
+      GovernChargeWorlds(1);
+      total += product.Chosen(i);
+    }
+    (void)total;
   }
 
   // An endless loop that advances no odometer is out of scope.

@@ -33,8 +33,12 @@ rules over `src/` (see docs/architecture.md, "Invariant enforcement"):
                      A range-for in src/worlds/*.cc iterating a worlds
                      collection (range names `worlds`/`worlds_`/
                      `.worlds`/`Worlds()`, or the loop variable is a
-                     World) must be governed: GovernPoll / GovernCharge*
-                     / ParallelFor in the loop body, or — for loops
+                     World), an endless loop that advances an odometer,
+                     and an index for loop whose body decodes a product
+                     ordinal (`.Decode(`, `.Chosen(`, `.Merged(` of
+                     worlds::Product) must be governed: GovernPoll /
+                     GovernCharge* / ParallelFor in the loop body, or —
+                     for loops
                      whose iterations must not be torn apart by a
                      mid-loop abort — immediately before the loop (the
                      poll-before-mutate idiom of CreateBaseTable). A
@@ -103,6 +107,10 @@ WORLD_LOOP_PRE_CONTEXT = 300  # chars of stripped code before the loop
 # walks a product of components: one pass per world or combination.
 ENDLESS_LOOP_RE = re.compile(r"\bwhile\s*\(\s*true\s*\)")
 ODOMETER_RE = re.compile(r"\+\+\s*\w+\s*\[[^\]]*\]\s*<")
+# An index loop that decodes a product ordinal (worlds::Product in
+# worlds/component.h) walks the product: one pass per world or
+# combination.
+ORDINAL_DECODE_RE = re.compile(r"(?:\.|->)\s*(Decode|Chosen|Merged)\s*\(")
 
 FORBIDDEN_API_PATTERNS = [
     # (regex, exempt_path_prefix, message): a match is ignored when the
@@ -476,8 +484,12 @@ def check_ungoverned_world_loop(path_for_rules, stripped, line_starts,
         close_idx = match_paren_close(stripped, open_idx)
         if close_idx < 0:
             continue
-        split = range_for_split(stripped[open_idx + 1:close_idx])
+        header = stripped[open_idx + 1:close_idx]
+        split = range_for_split(header)
         if split is None:
+            body = loop_body(stripped, close_idx + 1)
+            if ";" in header and ORDINAL_DECODE_RE.search(body):
+                loops.append((m.start(), body))
             continue
         decl, range_expr = split
         if (WORLD_RANGE_RE.search(range_expr)
