@@ -57,6 +57,8 @@ Product::Product(std::vector<const Component*> parts)
 void Product::AddPart(uint64_t radix) {
   constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
   radices_.push_back(radix);
+  // A part without choices empties the product, even a saturated one.
+  if (radix == 0) saturated_ = false;
   saturated_ = saturated_ || (radix != 0 && size_ > kMax / radix);
   size_ = saturated_ ? kMax : size_ * radix;
 }

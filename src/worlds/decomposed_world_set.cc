@@ -424,10 +424,8 @@ Status ListFactorWorlds(const DecomposedResult& dec, size_t max_worlds,
 struct DecomposedWorldSet::PipelineOutput {
   SelectEvaluation eval;                       // combined / groups
   std::optional<DecomposedResult> decomposed;  // per-component sources
-  /// Else: the relevant product the fold derived its worlds from (it
-  /// points into components_), its components, and whether it was the
-  /// certain core alone without a repair/choice.
-  std::optional<Product> source;
+  /// Else: the components whose Product the fold derived its worlds
+  /// from, and whether there were none and no repair/choice.
   std::vector<size_t> replaced;
   bool certain = false;
 };
@@ -846,10 +844,9 @@ Result<DecomposedWorldSet::PipelineOutput> DecomposedWorldSet::RunPipeline(
   // certain core alone, one world. The core is planned once per slot
   // against the shared schemas (local worlds only append rows).
   out.certain = !fans_out && relevant.empty();
-  MAYBMS_ASSIGN_OR_RETURN(out.source,
-                          MergeProduct(Parts(relevant), max_merge_));
   out.replaced = relevant;
-  const Product& source = *out.source;
+  MAYBMS_ASSIGN_OR_RETURN(const Product source,
+                          MergeProduct(Parts(relevant), max_merge_));
   InputWorlds inputs{
       source.size(),
       [this, &source](size_t i, Database* scratch) -> const Database& {
@@ -911,17 +908,17 @@ Status DecomposedWorldSet::MaterializeSelect(const std::string& name,
     // The kept worlds replace the components they derive from, each
     // storing its answer (or, under a quantifier, nothing: the combined
     // answer is certain). All are built before any component changes:
-    // the source product points into components_.
+    // the product points into components_.
+    const Product source(Parts(out.replaced));
     Component derived;
     derived.alternatives.reserve(kept.size());
     for (FoldedWorld& world : kept) {
       MAYBMS_RETURN_NOT_OK(base::GovernPoll());
       Alternative& alt =
-          derived.alternatives.emplace_back(out.source->Merged(world.input));
+          derived.alternatives.emplace_back(source.Merged(world.input));
       alt.probability = world.probability;
       if (!combined.has_value()) alt.tuples[lower] = world.answer->rows();
     }
-    out.source.reset();
     std::sort(out.replaced.rbegin(), out.replaced.rend());
     for (size_t i : out.replaced) {
       components_.erase(components_.begin() + static_cast<long>(i));

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <utility>
+#include <vector>
+
 #include "sql/ast.h"
 #include "tests/test_util.h"
 #include "worlds/component.h"
@@ -217,6 +221,82 @@ TEST(ComponentTest, MergeConcatenatesSharedRelationContributions) {
   auto merged = MergeComponents({&a, &b}, 0);
   ASSERT_TRUE(merged.ok());
   EXPECT_EQ(merged->alternatives[0].tuples.at("r").size(), 2u);
+}
+
+TEST(ProductTest, DigitZeroVariesFastest) {
+  Product product;
+  product.AddPart(2);
+  product.AddPart(3);
+  ASSERT_EQ(product.size(), 6u);
+  std::vector<std::pair<size_t, size_t>> digits;
+  for (uint64_t i = 0; i < product.size(); ++i) {
+    std::pair<size_t, size_t> d;
+    product.Decode(i, [&d](size_t k, size_t digit) {
+      (k == 0 ? d.first : d.second) = digit;
+    });
+    digits.push_back(d);
+  }
+  EXPECT_EQ(digits, (std::vector<std::pair<size_t, size_t>>{
+                        {0, 0}, {1, 0}, {0, 1}, {1, 1}, {0, 2}, {1, 2}}));
+  EXPECT_FALSE(product.Exceeds(6));
+  EXPECT_TRUE(product.Exceeds(5));
+  EXPECT_EQ(Product().size(), 1u);  // the trivial choice
+}
+
+TEST(ProductTest, SizeSaturatesAndAnEmptyPartEmptiesIt) {
+  Product product;
+  for (int k = 0; k < 63; ++k) product.AddPart(2);
+  EXPECT_EQ(product.size(), uint64_t{1} << 63);
+  EXPECT_FALSE(product.Exceeds(std::numeric_limits<uint64_t>::max()));
+  product.AddPart(2);  // 2^64 does not fit
+  EXPECT_EQ(product.size(), std::numeric_limits<uint64_t>::max());
+  EXPECT_TRUE(product.Exceeds(std::numeric_limits<uint64_t>::max()));
+  // The largest ordinal still decodes: the last part's digit is 1.
+  size_t last = 0;
+  product.Decode(product.size() - 1,
+                 [&last](size_t k, size_t digit) {
+                   if (k == 63) last = digit;
+                 });
+  EXPECT_EQ(last, 1u);
+  product.AddPart(0);
+  EXPECT_EQ(product.size(), 0u);
+  EXPECT_FALSE(product.Exceeds(0));
+}
+
+TEST(ProductTest, OrdinalsOfComponents) {
+  Component a;
+  a.alternatives.push_back(MakeAlt(0.25, "r", {Row({I(1)})}));
+  a.alternatives.push_back(MakeAlt(0.75, "r", {Row({I(2)})}));
+  Component b;
+  b.alternatives.push_back(MakeAlt(0.5, "r", {Row({I(10)})}));
+  b.alternatives.push_back(MakeAlt(0.5, "s", {Row({I(20)})}));
+  const Product product({&a, &b});
+  ASSERT_EQ(product.size(), 4u);
+  // Ordinal 1: a's second alternative, b's first.
+  EXPECT_EQ(product.Chosen(1), (std::vector<const Alternative*>{
+                                   &a.alternatives[1], &b.alternatives[0]}));
+  EXPECT_EQ(product.Probability(1), 1.0 * 0.75 * 0.5);
+  Alternative merged = product.Merged(1);
+  EXPECT_EQ(merged.probability, product.Probability(1));
+  ASSERT_EQ(merged.tuples.at("r").size(), 2u);
+  EXPECT_EQ(merged.tuples.at("r")[0].value(0).AsInteger(), 2);
+  EXPECT_EQ(merged.tuples.at("r")[1].value(0).AsInteger(), 10);
+}
+
+TEST(ProductTest, MergeProductRefusesAnOverflowEvenWithoutACap) {
+  Component coin;
+  coin.alternatives.push_back(MakeAlt(0.5, "r", {}));
+  coin.alternatives.push_back(MakeAlt(0.5, "r", {}));
+  std::vector<const Component*> parts(64, &coin);
+  auto product = MergeProduct(parts, 0);
+  ASSERT_FALSE(product.ok());
+  EXPECT_EQ(product.status().code(), StatusCode::kUnsupported);
+  parts.pop_back();
+  EXPECT_TRUE(MergeProduct(parts, 0).ok());
+  Component empty;
+  auto refused = MergeProduct({&coin, &empty}, 0);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kEmptyWorldSet);
 }
 
 }  // namespace
