@@ -909,10 +909,9 @@ Status DecomposedWorldSet::MaterializeSelect(const std::string& name,
     // storing its answer (or, under a quantifier, nothing: the combined
     // answer is certain). All are built before any component changes:
     // the product points into components_.
-    const Product source(Parts(out.replaced));
     Component derived;
     derived.alternatives.reserve(kept.size());
-    for (FoldedWorld& world : kept) {
+    for (const Product source(Parts(out.replaced)); FoldedWorld& world : kept) {
       MAYBMS_RETURN_NOT_OK(base::GovernPoll());
       Alternative& alt =
           derived.alternatives.emplace_back(source.Merged(world.input));
