@@ -91,6 +91,17 @@ struct Fixture {
     }
   }
 
+  // A poll inside a preceding block — or the preceding function, just
+  // above — does not govern the loop after it.
+  void PollInPrecedingBlock(int (&worlds)[4]) {
+    int sum = 0;
+    if (sum == 0) {
+      GovernPoll();
+    }
+    for (int w : worlds) sum += w;  // expect-lint: ungoverned-world-loop
+    (void)sum;
+  }
+
   void GovernedOrdinals(const Product& product) {
     double total = 0;
     for (unsigned long i = 0; i < product.size(); ++i) {

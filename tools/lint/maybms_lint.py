@@ -501,6 +501,10 @@ def check_ungoverned_world_loop(path_for_rules, stripped, line_starts,
             loops.append((m.start(), body))
     for start, body in loops:
         pre = stripped[max(0, start - WORLD_LOOP_PRE_CONTEXT):start]
+        # Only what follows the last closed block counts as "directly
+        # before": a poll inside a preceding block or function does not
+        # govern this loop.
+        pre = pre[pre.rfind("}") + 1:]
         if GOVERN_RE.search(body) or GOVERN_RE.search(pre):
             continue
         line = line_of(stripped, start, line_starts)
